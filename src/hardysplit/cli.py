@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,15 +28,6 @@ from .split import decompose, poisson_recovery, real_pole_blend, split_atom
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INVARIANT = 2
-
-
-def _apply_thread_cap() -> None:
-    """HARDY_SPLIT_THREADS caps the BLAS/FFT thread pools if set."""
-    cap = os.environ.get("HARDY_SPLIT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _emit(report: dict, output: str | None, csv_text: str | None = None,
@@ -281,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,7 +19,12 @@ import numpy as np
 
 from .cayley import BoundarySamples, one_plus_cos, theta_of_x
 from .errors import BoundViolated, NoConvergence
-from .quadrature import DEFAULT_TOL, integrate, line_norm_at_height
+from .quadrature import (
+    DEFAULT_TOL,
+    _as_circle_evaluator,
+    integrate,
+    line_norm_at_height,
+)
 from .serialize import to_json
 
 # Poisson kernels at heights below this are too peaked for the default
@@ -33,15 +38,8 @@ def _as_line_evaluator(f):
         return f
     if f.domain_tag != "line":
         raise ValueError("expected line-domain samples")
-    coeffs = np.fft.fft(f.values) / f.n
-    ks = np.fft.fftfreq(f.n, d=1.0 / f.n)
-    phase = np.exp(-1j * math.pi * ks)  # grid starts at theta = -pi
-
-    def ev(x):
-        theta = 2.0 * np.arctan(np.atleast_1d(x))
-        return np.exp(1j * np.outer(theta, ks)) @ (coeffs * phase)
-
-    return ev
+    ev = _as_circle_evaluator(f)
+    return lambda x: ev(2.0 * np.arctan(np.atleast_1d(x)))
 
 
 def _check_height(y: float, allow_low: bool) -> None:

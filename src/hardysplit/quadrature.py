@@ -6,6 +6,17 @@ endpoint theta = +-pi.  Declared integrable singularities (p * order < 1) and
 the interval endpoints get graded geometric meshes (ratio 1/2); the remaining
 mass past the finest cell is extrapolated from the observed cell-to-cell decay
 ratio, which is exact for pure power behaviour |t - s|^(-q).
+
+A graded side is an endpoint, or one side of a singular point.  The sides
+of one integral advance together as a level wavefront: the first
+_GRADE_MIN_LEVELS levels of every side, which no side can stop before, go
+to the integrand in one call; after that each call holds the next level of
+every side still open.  Each side keeps its own cells, acceptance test,
+sub-refinement, tail extrapolation and stopping rule, and the sides reach
+the accumulator in a fixed order, so the result does not depend on the
+batching.  Only the number of integrand calls does: one per level instead
+of one per cell, which matters because the phi-split integrands grade
+toward 2m + 2 singular sides and pay a fixed cost per call.
 """
 
 from __future__ import annotations
@@ -72,10 +83,9 @@ _GAUSS_WEIGHTS = np.array(
 )
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_DEPTH = 24
-_MAX_PANELS = 50_000
 _GRADE_MIN_LEVELS = 8
 _GRADE_MAX_LEVELS = 48
+_DENSE_CHUNK = 16  # rows of a dense sample-evaluator matrix: 1 MB at n = 4096
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,6 @@ class QuadratureResult:
             object.__setattr__(self, "value", 0.0)
         if self.est_error < 0:
             raise ValueError("est_error must be nonnegative")
-
-    @property
-    def relative_accuracy(self) -> float:
-        return self.est_error / max(self.value, 1e-300)
 
     def to_report(self) -> dict:
         return {"value": self.value, "est_error": self.est_error, "panels": self.panels}
@@ -167,59 +173,87 @@ def _adaptive(f, lo: float, hi: float, tol_abs: float, acc: _Accumulator,
         acc.add(val, -neg_err)
 
 
-def _graded(f, s: float, far: float, tol_abs: float, acc: _Accumulator) -> None:
-    """Integrate from a (possibly) singular point s to far with geometric cells.
+class _GradedSide:
+    """Geometric cells from a (possibly) singular point s toward far.
 
     Cells [s + h 2^-(j+1), s + h 2^-j] shrink toward s; the tail past the last
     cell is extrapolated from the geometric decay ratio of cell integrals.
+    The side does not evaluate its cells itself: integrate() collects the
+    next cells of every open side into one batch and feeds the results back
+    in level order.
     """
-    h = far - s
-    if h == 0.0:
-        return
-    sign = 1.0 if h > 0 else -1.0  # orientation: integral runs from s to far
-    vals = []
-    cell_acc = _Accumulator()
-    j = 0
-    tail = 0.0 + 0.0j
-    tail_err = math.inf
-    while j < _GRADE_MAX_LEVELS:
-        a = s + h * 2.0 ** -(j + 1)
-        b = s + h * 2.0 ** -j
-        if a == s or a == b:
-            tail, tail_err = 0.0, 0.0  # width underflow; nothing left
-            break
-        a, b = (a, b) if sign > 0 else (b, a)
-        k15, err = _panels_eval(f, np.array([a]), np.array([b]))
-        if err[0] > max(tol_abs / 64.0, 1e-3 * abs(k15[0])):
+
+    def __init__(self, s: float, far: float, tol_abs: float):
+        self.s = s
+        self.h = far - s
+        self.tol_abs = tol_abs
+        self.vals: list[complex] = []
+        self.acc = _Accumulator()
+        self.tail = 0.0 + 0.0j
+        self.tail_err = math.inf
+        self.done = self.h == 0.0
+
+    def next_cells(self, levels: int) -> list[tuple[float, float]]:
+        """The next (at most) `levels` cells, as increasing (lo, hi) pairs.
+
+        A side with no cells left closes: after a width underflow nothing is
+        left past its finest cell; at the level cap it keeps its last tail.
+        """
+        s, h = self.s, self.h
+        out = []
+        for j in range(len(self.vals), min(len(self.vals) + levels, _GRADE_MAX_LEVELS)):
+            a = s + h * 2.0 ** -(j + 1)
+            b = s + h * 2.0 ** -j
+            if a == s or a == b:
+                break
+            out.append((a, b) if h > 0 else (b, a))
+        if not out:
+            if len(self.vals) < _GRADE_MAX_LEVELS:
+                self.tail, self.tail_err = 0.0, 0.0  # width underflow
+            self.done = True
+        return out
+
+    def feed(self, f, a: float, b: float, k15, err) -> None:
+        """Take one cell's GK15 result and apply the stopping rule."""
+        tol_abs = self.tol_abs
+        if err > max(tol_abs / 64.0, 1e-3 * abs(k15)):
             sub = _Accumulator()
             _adaptive(f, a, b, tol_abs / 64.0, sub, panel_budget=1024)
             cell_val, cell_err = sub.value, sub.err
-            cell_acc.add(cell_val, cell_err, sub.panels)
+            self.acc.add(cell_val, cell_err, sub.panels)
         else:
-            cell_val, cell_err = complex(k15[0]), float(err[0])
-            cell_acc.add(cell_val, cell_err)
+            cell_val, cell_err = complex(k15), float(err)
+            self.acc.add(cell_val, cell_err)
+        vals = self.vals
         vals.append(cell_val)
-        j += 1
-        if j < _GRADE_MIN_LEVELS or len(vals) < 3:
-            continue
+        j = len(vals)
+        if j < _GRADE_MIN_LEVELS or j < 3:
+            return
         v2, v1, v0 = vals[-1], vals[-2], vals[-3]
         if abs(v2) <= 1e-305 or abs(v1) <= 1e-305:
-            tail, tail_err = 0.0, abs(v2)
-            break
+            self.tail, self.tail_err = 0.0, abs(v2)
+            self.done = True
+            return
         r, r_prev = v2 / v1, v1 / v0
         if abs(r) >= 1.05 and abs(r_prev) >= 1.05 and j >= 16:
             raise NoConvergence(
-                f"integrand grows toward {s!r}; integral appears divergent"
+                f"integrand grows toward {self.s!r}; integral appears divergent"
             )
         if abs(r) >= 0.99:
-            continue  # too close to non-integrable; keep grading
-        tail = v2 * r / (1.0 - r)
-        tail_err = abs(tail) * (abs(r - r_prev) / abs(1.0 - r) + 1e-12)
-        if tail_err <= 0.05 * tol_abs or abs(tail) <= 1e-300:
-            break
-    if not math.isfinite(tail_err):
-        tail, tail_err = 0.0, 0.0
-    acc.add(cell_acc.value + tail, cell_acc.err + tail_err, cell_acc.panels)
+            return  # too close to non-integrable; keep grading
+        self.tail = v2 * r / (1.0 - r)
+        self.tail_err = abs(self.tail) * (abs(r - r_prev) / abs(1.0 - r) + 1e-12)
+        if self.tail_err <= 0.05 * tol_abs or abs(self.tail) <= 1e-300:
+            self.done = True
+
+    def add_to(self, acc: _Accumulator) -> None:
+        """Add the side's cells plus its extrapolated tail as one term."""
+        if self.h == 0.0:
+            return
+        tail, tail_err = self.tail, self.tail_err
+        if not math.isfinite(tail_err):
+            tail, tail_err = 0.0, 0.0
+        acc.add(self.acc.value + tail, self.acc.err + tail_err, self.acc.panels)
 
 
 def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_TOL,
@@ -239,33 +273,57 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
     graded_pts = ([lo, hi] if grade_endpoints else []) + merged
     graded_pts = sorted(set(graded_pts))
     edges = sorted({lo, hi, *merged})
+    if len(edges) < 2:
+        return 0.0 + 0.0j, 0.0, 0
+    n_seg = len(edges) - 1
 
     # coarse scale pass to turn the relative tolerance into an absolute one
+    grid = np.linspace(edges[:-1], edges[1:], 9, axis=1)
+    d = grid[:, 1:2] - grid[:, 0:1]
+    inner = 0.5 * (grid[:, :-1] + grid[:, 1:])  # avoid hitting singular edges
+    k15, _ = _panels_eval(f, (inner - 0.2 * d).ravel(), (inner + 0.2 * d).ravel())
+    scale_abs = np.abs(k15)
     scale = 0.0
-    for u, v in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(u, v, 9)
-        d = grid[1] - grid[0]
-        inner = 0.5 * (grid[:-1] + grid[1:])  # avoid hitting singular edges
-        k15, _ = _panels_eval(f, inner - 0.2 * d, inner + 0.2 * d)
-        scale += float(np.abs(k15).sum()) * 2.5  # panels cover 40% of [u, v]
+    for i in range(0, scale_abs.size, 8):  # one segment's 8 panels at a time
+        scale += float(scale_abs[i:i + 8].sum()) * 2.5  # panels cover 40% of [u, v]
     tol_abs = tol * max(scale, 1e-300)
+    seg_tol = tol_abs / n_seg
 
-    acc = _Accumulator()
-    n_seg = max(1, len(edges) - 1)
+    # accumulation order: graded sides, and (u, v) for smooth segments
+    plan = []
     for u, v in zip(edges[:-1], edges[1:]):
-        seg_tol = tol_abs / n_seg
         u_sing = u in graded_pts
         v_sing = v in graded_pts
         if u_sing and v_sing:
             m = 0.5 * (u + v)
-            _graded(f, u, m, 0.5 * seg_tol, acc)
-            _graded(f, v, m, 0.5 * seg_tol, acc)
+            plan += [_GradedSide(u, m, 0.5 * seg_tol), _GradedSide(v, m, 0.5 * seg_tol)]
         elif u_sing:
-            _graded(f, u, v, seg_tol, acc)
+            plan.append(_GradedSide(u, v, seg_tol))
         elif v_sing:
-            _graded(f, v, u, seg_tol, acc)
+            plan.append(_GradedSide(v, u, seg_tol))
         else:
-            _adaptive(f, u, v, seg_tol, acc)
+            plan.append((u, v))
+    sides = [item for item in plan if isinstance(item, _GradedSide)]
+
+    # no side can stop before _GRADE_MIN_LEVELS; then one level at a time
+    levels = _GRADE_MIN_LEVELS
+    while True:
+        batch = [(side, a, b) for side in sides if not side.done
+                 for a, b in side.next_cells(levels)]
+        if not batch:
+            break
+        k15, err = _panels_eval(f, np.array([a for _, a, _ in batch]),
+                                np.array([b for _, _, b in batch]))
+        for (side, a, b), cell_k15, cell_err in zip(batch, k15, err):
+            side.feed(f, a, b, cell_k15, cell_err)
+        levels = 1
+
+    acc = _Accumulator()
+    for item in plan:
+        if isinstance(item, _GradedSide):
+            item.add_to(acc)
+        else:
+            _adaptive(f, *item, seg_tol, acc)
     value = acc.value
     if not (math.isfinite(value.real) and math.isfinite(value.imag)
             and math.isfinite(acc.err)):
@@ -278,18 +336,30 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
 
 
 def _as_circle_evaluator(g):
-    """Callable on theta from either an evaluator or BoundarySamples."""
+    """Callable on theta from either an evaluator or BoundarySamples.
+
+    Samples become their trigonometric interpolant, summed densely over at
+    most _DENSE_CHUNK points at a time so that the (points x n) matrix of
+    exponentials stays small for the large batches integrate() makes.
+    """
     from .cayley import BoundarySamples
 
     if not isinstance(g, BoundarySamples):
         return g
-    coeffs = np.fft.fft(g.values) / g.n
     ks = np.fft.fftfreq(g.n, d=1.0 / g.n)  # integer frequencies
-    phase = np.exp(-1j * math.pi * ks)  # grid starts at theta = -pi
+    # the grid starts at theta = -pi
+    coeffs = np.fft.fft(g.values) / g.n * np.exp(-1j * math.pi * ks)
+    iks = 1j * ks
 
     def ev(theta):
-        theta = np.atleast_1d(theta)
-        return np.exp(1j * np.outer(theta, ks)) @ (coeffs * phase)
+        theta = np.ravel(theta)
+        out = np.empty(theta.shape, dtype=complex)
+        work = np.empty((min(theta.size, _DENSE_CHUNK), iks.size), dtype=complex)
+        for i in range(0, theta.size, _DENSE_CHUNK):
+            t = theta[i:i + _DENSE_CHUNK]
+            e = np.multiply.outer(t, iks, out=work[:t.size])
+            out[i:i + t.size] = np.exp(e, out=e) @ coeffs
+        return out
 
     return ev
 
@@ -378,21 +448,3 @@ def lp_quasinorm_window(f, p: float, window: float, singularities=(),
         grade_endpoints=False,
     )
     return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
-
-
-def complex_line_integral(f, tol: float = DEFAULT_TOL, singular_thetas=()
-                          ) -> tuple[complex, float, int]:
-    """integral of f(x) dx over R for complex-valued f, theta-substituted.
-
-    Used by the Poisson/Cauchy extensions; f must decay at least like x^-2.
-    """
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        x = np.tan(theta / 2.0)
-        return np.asarray(f(x), dtype=complex) / one_plus_cos(theta)
-
-    return integrate(
-        integrand, -math.pi, math.pi, singular_points=singular_thetas,
-        tol=tol, grade_endpoints=True,
-    )

@@ -9,8 +9,8 @@ where m = n+1 exceeds the atom degree.  P is analytic above the real line
 P + Q = R identically.  On the real line |beta| = 1, so |P(x)| = |Q(x)|
 pointwise and a single integral J(phi) = ||P(.,phi)||_p^p measures both
 sides.  Averaging J over phi is bounded by (2 pi/(1-p)) ||R||_p^p, so the
-best of M uniform candidates (plus a golden-section refinement) certifies a
-good phi.
+best of M uniform candidates, re-evaluated at the final tolerance, certifies
+a good phi.
 
 The same family powers real_pole_blend, which joins an upper single-pole
 rational to a lower one through a function with only real poles, and
@@ -43,8 +43,6 @@ from .rational import (
     to_general,
 )
 from .serialize import to_json
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _wrap_angle(t: float) -> float:
@@ -269,27 +267,8 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     phis = -math.pi + 2.0 * math.pi * np.arange(phi_candidates) / phi_candidates
     values = [J(float(ph), scan_tol) for ph in phis]
     best = int(np.argmin(values))
-
-    # one golden-section refinement between the best candidate's neighbors
-    lo = float(phis[best]) - 2.0 * math.pi / phi_candidates
-    hi = float(phis[best]) + 2.0 * math.pi / phi_candidates
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = J(x1, scan_tol), J(x2, scan_tol)
-    for _ in range(8):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = J(x1, scan_tol)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = J(x2, scan_tol)
-    phi_star = _safe_phi(x1 if f1 <= f2 else x2, m)
+    phi_star = _safe_phi(float(phis[best]), m)
     j_star = J(phi_star, tol)
-    if min(values) < j_star:
-        phi_star = _safe_phi(float(phis[best]), m)
-        j_star = J(phi_star, tol)
 
     bound = 2.0 * math.pi / (1.0 - p)
     ratio = j_star / r_norm if r_norm > 0 else 0.0

@@ -13,6 +13,7 @@ from hardysplit.quadrature import (
     lp_quasinorm_window,
     line_norm_at_height,
 )
+from hardysplit.split import _root_thetas
 
 
 def test_constant_on_circle():
@@ -69,6 +70,26 @@ def test_line_norm_at_height_closed_form():
     # |(z+i)^{-2}| integrated at height y: pi/(1+y) at p = 1
     res = line_norm_at_height(lambda z: (z + 1j) ** -2.0, 1.0, 0.5, tol=1e-9)
     assert res.value == pytest.approx(math.pi / 1.5, rel=1e-8)
+
+
+@pytest.mark.parametrize("m, p, phi", [(34, 0.75, 0.3), (50, 0.55, -1.1),
+                                       (5, 0.65, 2.0)])
+def test_split_kernel_gamma_oracle_and_call_budget(m, p, phi):
+    # integral of |e^{i m t} - e^{i phi}|^(-p) over the circle: the kernel
+    # |2 sin(u/2)|^(-p) has mean G(1-p)/G(1-p/2)^2, whatever m and phi
+    oracle = 2.0 * math.pi * math.gamma(1.0 - p) / math.gamma(1.0 - 0.5 * p) ** 2
+    e = np.exp(1j * phi)
+    calls = []
+
+    def g(theta):
+        calls.append(np.size(theta))
+        return 1.0 / (np.exp(1j * m * np.atleast_1d(theta)) - e)
+
+    res = lp_quasinorm_circle(g, p, tol=1e-8,
+                              singular_thetas=list(_root_thetas(m, phi)))
+    assert res.value == pytest.approx(oracle, rel=1e-8)
+    # the 2m + 2 graded sides advance one level per integrand call
+    assert len(calls) <= 64
 
 
 def test_determinism():
