@@ -38,7 +38,6 @@ class TrigPolynomial:
     """sum_{j=-d..d} c_j e^{i j theta}; same storage convention as LaurentRational."""
 
     coeffs: np.ndarray
-    grid_residual_p: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -221,9 +220,7 @@ def trig_approx(g: BoundarySamples, degree: int) -> TrigPolynomial:
     # grid starts at theta = -pi, so coefficient j picks up the phase (-1)^j
     coeffs = raw[js % g.n] * (-1.0) ** js
     coeffs *= 1.0 - np.abs(js) / (degree + 1.0)  # Fejer damping
-    poly = TrigPolynomial(coeffs)
-    res = float(np.sum(np.abs(g.values - poly.eval(g.thetas)) ** g.p) * 2 * math.pi / g.n)
-    return TrigPolynomial(coeffs, grid_residual_p=res)
+    return TrigPolynomial(coeffs)
 
 
 def _u_power_laurent(m: int) -> np.ndarray:
@@ -268,18 +265,6 @@ def _weighted_boundary(r: TrigPolynomial, plan: WeierstrassPlan, p: float, theta
     theta = np.atleast_1d(theta)
     u = one_plus_cos(theta)
     return r.eval(theta) * plan.q_eval(u) * u ** (plan.m - 1.0 / p)
-
-
-def atom_line_quasinorm(R: LaurentRational, p: float, tol: float = 1e-8) -> float:
-    """||R||_p^p on the line, integrating |R(e^{i theta})|^p d theta/(1+cos)."""
-    if R.is_zero:
-        return 0.0
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        return R.eval_w(np.exp(1j * theta)) / one_plus_cos(theta) ** (1.0 / p)
-
-    return lp_quasinorm_circle(integrand, p, tol=tol).value
 
 
 @dataclass(frozen=True)

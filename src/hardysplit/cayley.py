@@ -64,29 +64,6 @@ def _check_grid(n: int) -> None:
 
 
 @dataclass(frozen=True)
-class CirclePoint:
-    """A boundary angle, normalized into [-pi, pi).
-
-    theta = -pi corresponds to the point at infinity on the line.
-    """
-
-    theta: float
-
-    def __post_init__(self):
-        t = math.remainder(self.theta, 2.0 * math.pi)
-        if t >= math.pi:  # remainder returns (-pi, pi]; fold pi to -pi
-            t -= 2.0 * math.pi
-        object.__setattr__(self, "theta", t)
-
-    @property
-    def x(self) -> float:
-        """Line coordinate tan(theta/2); +-inf at theta = -pi."""
-        if self.theta == -math.pi:
-            return math.inf
-        return math.tan(self.theta / 2.0)
-
-
-@dataclass(frozen=True)
 class BoundarySamples:
     """Boundary values on the uniform circle grid (or its line image).
 

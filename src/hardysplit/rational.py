@@ -2,7 +2,8 @@
 
 The canonical form is R(z) = sum_{k=-n}^{n} c_k beta(z)^k with beta(z) =
 (i-z)/(z+i); positive powers put the pole at -i, negative powers at i.
-Conversion to a z-rational form exists only for pole reporting.  Membership
+The z-rational form (to_general) serves only the corpus and the input
+certificate of split_atom; split pieces keep their exact form.  Membership
 in L^p resp. H^p (0<p<1) is decided from the pole certificate alone:
 p * (numerator degree - denominator degree) < -1 and p * order < 1 at every
 real pole, plus analyticity in the requested half plane.
@@ -229,9 +230,9 @@ class GeneralRational:
 
     The denominator is scale * prod (z - a)^order over the pole list; the
     numerator shares no root with it (the constructions here guarantee
-    co-primality).  An optional stable evaluator produced by the pipeline is
-    preferred over the expanded polynomial ratio, whose coefficients are
-    ill-conditioned at high degree.
+    co-primality).  An optional stable evaluator, which only
+    single_pole_approx supplies, is preferred over the expanded polynomial
+    ratio, whose coefficients are ill-conditioned at high degree.
     """
 
     numer: np.ndarray

@@ -15,6 +15,11 @@ a good phi.
 The same family powers real_pole_blend, which joins an upper single-pole
 rational to a lower one through a function with only real poles, and
 decompose, which runs the atom pipeline and splits every atom.
+
+Every piece is one SplitPiece, sum c beta^s R(beta) / (beta^m - e^{i phi}),
+kept and reported in that exact form: P = ((1, R, m),), Q = ((-e^{i phi},
+R, 0),), the blend ((-e^{i phi}, R1, 0), (1, R2, m)), and m = 0 (no
+denominator) for zero and one-sided pieces.  Both choose phi by _phi_scan.
 """
 
 from __future__ import annotations
@@ -31,17 +36,9 @@ from .approx import (
     rational_sequence,
 )
 from .cayley import one_plus_cos
-from .errors import BoundNotMet, NotInLp, OnRealAxis
+from .errors import BoundNotMet, EvalAtPole, NotInLp, OnRealAxis
 from .quadrature import lp_quasinorm_circle
-from .rational import (
-    GeneralRational,
-    LaurentRational,
-    certify_lp,
-    polymul,
-    polypow,
-    polyval,
-    to_general,
-)
+from .rational import LaurentRational, certify_lp, polyval, to_general
 from .serialize import to_json
 
 
@@ -63,10 +60,6 @@ def _safe_phi(phi: float, m: int) -> float:
     if abs(_wrap_angle(phi - bad)) < 1e-6:
         return phi + 1e-4
     return phi
-
-
-def _zero_rational() -> GeneralRational:
-    return GeneralRational(numer=np.zeros(1), scale=1.0, poles=())
 
 
 def _stable_weighted(R: LaurentRational, p: float):
@@ -100,96 +93,108 @@ def _stable_weighted(R: LaurentRational, p: float):
     return weighted
 
 
-def _build_plus(R: LaurentRational, m: int, phi: float) -> GeneralRational:
-    """P = beta^m R / (beta^m - e^{i phi}): poles -i and the real x_k."""
-    npos, nneg = R.pos_degree, R.neg_degree
-    e = np.exp(1j * phi)
-    i_minus_z = np.array([1j, -1.0], dtype=complex)
-    z_plus_i = np.array([1j, 1.0], dtype=complex)
-    numer = np.zeros(1, dtype=complex)
-    for j in range(-nneg, npos + 1):
-        c = R.coeff(j)
-        if c == 0:
-            continue
-        term = c * polymul(polypow(i_minus_z, m + j), polypow(z_plus_i, npos - j))
-        pad = max(numer.size, term.size)
-        numer = np.pad(numer, (0, pad - numer.size)) + np.pad(term, (0, pad - term.size))
-    thetas = _root_thetas(m, phi)
-    poles = [(complex(x), 1) for x in np.tan(thetas / 2.0)]
-    if npos > 0:
-        poles.append((-1j, npos))
-    scale = (-1.0 + 0.0j) ** m - e
+@dataclass(frozen=True)
+class SplitPiece:
+    """sum_t c_t beta^{s_t} R_t(beta) / (beta^m - e^{i phi}); over 1 when m = 0.
 
-    a = np.zeros(m + npos + 1, dtype=complex)  # numerator in w, all powers >= 1
-    for j in range(-nneg, npos + 1):
-        a[m + j] = R.coeff(j)
-    b = np.zeros(npos + nneg + 1, dtype=complex)  # numerator in v = 1/w
-    for j in range(-nneg, npos + 1):
-        b[npos - j] = R.coeff(j)
+    terms holds (c_t, R_t, s_t) with R_t a LaurentRational.  Each term is
+    Horner-evaluated on its own (merged coefficients lose accuracy far out
+    on the line), in w = beta(z) above the axis and in v = 1/w below.
+    """
 
-    def eval_fn(z):
+    terms: tuple
+    m: int
+    phi: float
+    poles: tuple = field(init=False, compare=False)
+
+    def __post_init__(self):
+        terms = tuple((complex(c), R, int(s)) for c, R, s in self.terms)
+        object.__setattr__(self, "terms", terms)
+        # the m real points with beta^m = e^{i phi}, then -i and i with the
+        # orders the extreme beta powers leave over the denominator
+        poles = [(complex(x), 1) for x in np.tan(_root_thetas(self.m, self.phi) / 2.0)]
+        if terms:
+            at_minus_i = max(s + R.pos_degree for _, R, s in terms) - self.m
+            at_plus_i = -min(s - R.neg_degree for _, R, s in terms)
+            if at_minus_i > 0:
+                poles.append((-1j, at_minus_i))
+            if at_plus_i > 0:
+                poles.append((1j, at_plus_i))
+        object.__setattr__(self, "poles", tuple(poles))
+
+    def eval(self, z):
         z = np.asarray(z, dtype=complex)
+        scalar = z.ndim == 0
+        z = np.atleast_1d(z)
+        for a, _ in self.poles:
+            if np.any(z == a):
+                raise EvalAtPole(f"z = {a} is a pole of this function")
         upper = z.imag >= 0.0
+        w = (1j - z[upper]) / (z[upper] + 1j)
+        v = (z[~upper] + 1j) / (1j - z[~upper])
+        above = np.zeros(w.shape, dtype=complex)
+        below = np.zeros(v.shape, dtype=complex)
+        for c, R, s in self.terms:
+            neg, pos = R.neg_degree, R.pos_degree
+            cs = R.coeffs[R.n - neg:R.n + pos + 1]
+            # c_j w^(s+j) above, c_j v^(m-s-j) below
+            above += c * polyval(cs, w) * w ** (s - neg)
+            below += c * polyval(cs[::-1], v) * v ** (self.m - s - pos)
+        if self.m > 0:
+            e = np.exp(1j * self.phi)
+            above /= w ** self.m - e
+            below /= 1.0 - e * v ** self.m
         out = np.empty(z.shape, dtype=complex)
-        if np.any(upper):
-            w = (1j - z[upper]) / (z[upper] + 1j)
-            out[upper] = polyval(a, w) / (w ** m - e)
-        if np.any(~upper):
-            v = (z[~upper] + 1j) / (1j - z[~upper])
-            out[~upper] = polyval(b, v) / (v ** npos * (1.0 - e * v ** m))
-        return out
+        out[upper] = above
+        out[~upper] = below
+        return out[0] if scalar else out
 
-    return GeneralRational(numer=numer, scale=scale, poles=tuple(poles), eval_fn=eval_fn)
+    def to_report(self) -> dict:
+        return {
+            "m": self.m,
+            "phi": self.phi,
+            "terms": [{"c": c, "shift": s, "n": R.n, "coeffs_re": list(R.coeffs.real),
+                       "coeffs_im": list(R.coeffs.imag)} for c, R, s in self.terms],
+            "poles": [{"location": a, "order": l} for a, l in self.poles],
+        }
 
 
-def _build_minus(R: LaurentRational, m: int, phi: float) -> GeneralRational:
-    """Q = -e^{i phi} R / (beta^m - e^{i phi}): poles i and the real x_k."""
-    npos, nneg = R.pos_degree, R.neg_degree
-    e = np.exp(1j * phi)
-    i_minus_z = np.array([1j, -1.0], dtype=complex)
-    z_plus_i = np.array([1j, 1.0], dtype=complex)
-    numer = np.zeros(1, dtype=complex)
-    for j in range(-nneg, npos + 1):
-        c = R.coeff(j)
-        if c == 0:
-            continue
-        term = -e * c * polymul(polypow(i_minus_z, nneg + j), polypow(z_plus_i, m - j))
-        pad = max(numer.size, term.size)
-        numer = np.pad(numer, (0, pad - numer.size)) + np.pad(term, (0, pad - term.size))
-    thetas = _root_thetas(m, phi)
-    poles = [(complex(x), 1) for x in np.tan(thetas / 2.0)]
-    if nneg > 0:
-        poles.append((1j, nneg))
-    scale = ((-1.0 + 0.0j) ** m - e) * (-1.0 + 0.0j) ** nneg
+_ZERO_PIECE = SplitPiece((), 0, 0.0)
 
-    a = np.zeros(nneg + npos + 1, dtype=complex)  # numerator in w over w^nneg
-    for j in range(-nneg, npos + 1):
-        a[nneg + j] = R.coeff(j)
-    b = np.zeros(m + nneg + 1, dtype=complex)  # numerator in v, powers >= 1
-    for j in range(-nneg, npos + 1):
-        b[m - j] = R.coeff(j)
 
-    def eval_fn(z):
-        z = np.asarray(z, dtype=complex)
-        upper = z.imag >= 0.0
-        out = np.empty(z.shape, dtype=complex)
-        if np.any(upper):
-            w = (1j - z[upper]) / (z[upper] + 1j)
-            out[upper] = -e * polyval(a, w) / (w ** nneg * (w ** m - e))
-        if np.any(~upper):
-            v = (z[~upper] + 1j) / (1j - z[~upper])
-            out[~upper] = -e * polyval(b, v) / (1.0 - e * v ** m)
-        return out
+def _phi_scan(weighted, m: int, p: float, phi_candidates: int, tol: float):
+    """(phi*, J(phi*)) for J(phi) = ||weighted / (w^m - e^{i phi})||_p^p.
 
-    return GeneralRational(numer=numer, scale=scale, poles=tuple(poles), eval_fn=eval_fn)
+    J is scanned at max(tol, 1e-4) over phi_candidates uniform phis, and the
+    best candidate is re-evaluated at tol.
+    """
+
+    def J(phi: float, jtol: float) -> float:
+        phi = _safe_phi(phi, m)
+        e = np.exp(1j * phi)
+        roots = _root_thetas(m, phi)
+
+        def integrand(theta):
+            theta = np.atleast_1d(theta)
+            w = np.exp(1j * theta)
+            return weighted(theta) / (w ** m - e)
+
+        return lp_quasinorm_circle(integrand, p, tol=jtol,
+                                   singular_thetas=list(roots)).value
+
+    scan_tol = max(tol, 1e-4)
+    phis = -math.pi + 2.0 * math.pi * np.arange(phi_candidates) / phi_candidates
+    values = [J(float(ph), scan_tol) for ph in phis]
+    phi_star = _safe_phi(float(phis[int(np.argmin(values))]), m)
+    return phi_star, J(phi_star, tol)
 
 
 @dataclass(frozen=True)
 class SplitResult:
     """One atom split into an upper piece P and a lower piece Q."""
 
-    P: GeneralRational
-    Q: GeneralRational
+    P: SplitPiece
+    Q: SplitPiece
     phi: float
     m: int
     real_poles: tuple
@@ -226,7 +231,7 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     if phi_candidates < 16:
         raise ValueError("need at least 16 phi candidates")
     if R.is_zero:
-        return SplitResult(P=_zero_rational(), Q=_zero_rational(), phi=0.0,
+        return SplitResult(P=_ZERO_PIECE, Q=_ZERO_PIECE, phi=0.0,
                            m=R.n + 1, real_poles=(), bound_ratio=0.0,
                            j_value=0.0, r_norm_p=0.0)
     cert = certify_lp(to_general(R).pole_certificate(), p)
@@ -237,38 +242,15 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     if weighted_eval is None:
         weighted_eval = _stable_weighted(R, p)
 
+    r_norm = lp_quasinorm_circle(weighted_eval, p, tol=tol).value
     # one-sided atoms are already Hardy functions; split trivially
     if R.neg_degree == 0 or R.pos_degree == 0:
-        r_norm = lp_quasinorm_circle(weighted_eval, p, tol=tol).value
-        G = to_general(R)
-        if R.neg_degree == 0:
-            return SplitResult(P=G, Q=_zero_rational(), phi=0.0, m=m,
-                               real_poles=(), bound_ratio=1.0,
-                               j_value=r_norm, r_norm_p=r_norm)
-        return SplitResult(P=_zero_rational(), Q=G, phi=0.0, m=m,
-                           real_poles=(), bound_ratio=1.0,
+        whole = SplitPiece(((1.0, R, 0),), 0, 0.0)
+        P, Q = (whole, _ZERO_PIECE) if R.neg_degree == 0 else (_ZERO_PIECE, whole)
+        return SplitResult(P=P, Q=Q, phi=0.0, m=m, real_poles=(), bound_ratio=1.0,
                            j_value=r_norm, r_norm_p=r_norm)
 
-    def J(phi: float, jtol: float) -> float:
-        phi = _safe_phi(phi, m)
-        e = np.exp(1j * phi)
-        roots = _root_thetas(m, phi)
-
-        def integrand(theta):
-            theta = np.atleast_1d(theta)
-            w = np.exp(1j * theta)
-            return weighted_eval(theta) / (w ** m - e)
-
-        return lp_quasinorm_circle(integrand, p, tol=jtol,
-                                   singular_thetas=list(roots)).value
-
-    r_norm = lp_quasinorm_circle(weighted_eval, p, tol=tol).value
-    scan_tol = max(tol, 1e-4)
-    phis = -math.pi + 2.0 * math.pi * np.arange(phi_candidates) / phi_candidates
-    values = [J(float(ph), scan_tol) for ph in phis]
-    best = int(np.argmin(values))
-    phi_star = _safe_phi(float(phis[best]), m)
-    j_star = J(phi_star, tol)
+    phi_star, j_star = _phi_scan(weighted_eval, m, p, phi_candidates, tol)
 
     bound = 2.0 * math.pi / (1.0 - p)
     ratio = j_star / r_norm if r_norm > 0 else 0.0
@@ -276,12 +258,13 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
         raise BoundNotMet(
             f"best candidate gives ||P||_p^p / ||R||_p^p = {ratio:.4g} > {bound:.4g}"
         )
+    P = SplitPiece(((1.0, R, m),), m, phi_star)
     return SplitResult(
-        P=_build_plus(R, m, phi_star),
-        Q=_build_minus(R, m, phi_star),
+        P=P,
+        Q=SplitPiece(((-np.exp(1j * phi_star), R, 0),), m, phi_star),
         phi=phi_star,
         m=m,
-        real_poles=tuple(float(x) for x in np.tan(_root_thetas(m, phi_star) / 2.0)),
+        real_poles=tuple(a.real for a, _ in P.poles if a.imag == 0.0),
         bound_ratio=ratio,
         j_value=j_star,
         r_norm_p=r_norm,
@@ -406,7 +389,7 @@ def interior_sum_eval(decomp: AtomDecomposition, z: complex):
 
 
 def real_pole_blend(R1: LaurentRational, R2: LaurentRational, p: float,
-                    phi_candidates: int = 16, tol: float = 1e-4) -> GeneralRational:
+                    phi_candidates: int = 16, tol: float = 1e-4) -> SplitPiece:
     """Join an upper single-pole rational to a lower one across only real poles.
 
     R1 may only carry nonnegative beta powers (pole -i), R2 only nonpositive
@@ -425,84 +408,16 @@ def real_pole_blend(R1: LaurentRational, R2: LaurentRational, p: float,
     diff = R1 - R2
 
     if diff.is_zero:
-        return to_general(R1)
+        return SplitPiece(((1.0, R1, 0),), 0, 0.0)
 
     weighted_diff = _stable_weighted(diff, p)
-
     diff_norm = lp_quasinorm_circle(weighted_diff, p, tol=tol).value
-
-    def D(phi: float, dtol: float) -> float:
-        phi = _safe_phi(phi, m)
-        e = np.exp(1j * phi)
-        roots = _root_thetas(m, phi)
-
-        def integrand(theta):
-            theta = np.atleast_1d(theta)
-            w = np.exp(1j * theta)
-            return weighted_diff(theta) * w ** m / (w ** m - e)
-
-        return lp_quasinorm_circle(integrand, p, tol=dtol,
-                                   singular_thetas=list(roots)).value
-
-    scan_tol = max(tol, 1e-4)
-    phis = -math.pi + 2.0 * math.pi * np.arange(phi_candidates) / phi_candidates
-    values = [D(float(ph), scan_tol) for ph in phis]
-    best = int(np.argmin(values))
-    phi_star = _safe_phi(float(phis[best]), m)
-    d_star = D(phi_star, tol)
+    # |w^m| = 1 on the circle, so the distance ||blend - R1||_p^p is J's
+    # integral for R1 - R2
+    phi_star, d_star = _phi_scan(weighted_diff, m, p, phi_candidates, tol)
     bound = 2.0 * math.pi / (1.0 - p) * diff_norm
     if d_star > bound:
         raise BoundNotMet(
             f"best candidate distance {d_star:.4g} exceeds the bound {bound:.4g}"
         )
-
-    e = np.exp(1j * phi_star)
-    i_minus_z = np.array([1j, -1.0], dtype=complex)
-    z_plus_i = np.array([1j, 1.0], dtype=complex)
-    numer = np.zeros(1, dtype=complex)
-    for k in range(0, R1.pos_degree + 1):
-        c = R1.coeff(k)
-        if c == 0:
-            continue
-        term = -e * c * polymul(polypow(i_minus_z, k), polypow(z_plus_i, m - k))
-        pad = max(numer.size, term.size)
-        numer = np.pad(numer, (0, pad - numer.size)) + np.pad(term, (0, pad - term.size))
-    for k in range(-R2.neg_degree, 1):
-        c = R2.coeff(k)
-        if c == 0:
-            continue
-        term = c * polymul(polypow(i_minus_z, m + k), polypow(z_plus_i, -k))
-        pad = max(numer.size, term.size)
-        numer = np.pad(numer, (0, pad - numer.size)) + np.pad(term, (0, pad - term.size))
-    thetas = _root_thetas(m, phi_star)
-    poles = tuple((complex(x), 1) for x in np.tan(thetas / 2.0))
-    scale = (-1.0 + 0.0j) ** m - e
-
-    a1 = np.zeros(R1.pos_degree + 1, dtype=complex)
-    for k in range(0, R1.pos_degree + 1):
-        a1[k] = R1.coeff(k)
-    a2 = np.zeros(m + 1, dtype=complex)
-    for k in range(-R2.neg_degree, 1):
-        a2[m + k] = R2.coeff(k)
-    b1 = np.zeros(m + R1.pos_degree + 1, dtype=complex)
-    for k in range(0, R1.pos_degree + 1):
-        b1[m - k] = R1.coeff(k)
-    b2 = np.zeros(R2.neg_degree + 1, dtype=complex)
-    for k in range(-R2.neg_degree, 1):
-        b2[-k] = R2.coeff(k)
-
-    def eval_fn(z):
-        z = np.asarray(z, dtype=complex)
-        upper = z.imag >= 0.0
-        out = np.empty(z.shape, dtype=complex)
-        if np.any(upper):
-            w = (1j - z[upper]) / (z[upper] + 1j)
-            # a2 carries the w^m factor: a2[m+k] holds R2's coefficient c_k
-            out[upper] = (-e * polyval(a1, w) + polyval(a2, w)) / (w ** m - e)
-        if np.any(~upper):
-            # v-form: numerator and denominator both multiplied by v^m
-            v = (z[~upper] + 1j) / (1j - z[~upper])
-            out[~upper] = (-e * polyval(b1, v) + polyval(b2, v)) / (1.0 - e * v ** m)
-        return out
-
-    return GeneralRational(numer=numer, scale=scale, poles=poles, eval_fn=eval_fn)
+    return SplitPiece(((-np.exp(1j * phi_star), R1, 0), (1.0, R2, m)), m, phi_star)

@@ -1,14 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hardysplit import corpus
+from hardysplit.cayley import beta
 from hardysplit.corpus import blend_pair
 from hardysplit.errors import NotInLp, OnRealAxis
 from hardysplit.quadrature import lp_quasinorm_line
 from hardysplit.rational import LaurentRational
+from hardysplit.serialize import to_json
 from hardysplit.split import (
     AtomDecomposition,
+    SplitPiece,
+    _root_thetas,
     decompose,
     interior_sum_eval,
     real_pole_blend,
@@ -52,11 +58,18 @@ def test_split_sides_have_equal_mass():
 
 
 def test_one_sided_atom_short_circuits():
-    R = LaurentRational.from_dict({0: 1.0, 1: 2.0, 2: 1.0})
-    res = split_atom(R, P_DEFAULT)
-    assert res.bound_ratio <= 1.0 + 1e-12
-    z = np.array([0.3 + 0.4j, -1.0 - 0.7j])
-    assert np.max(np.abs(res.P.eval(z) + res.Q.eval(z) - R.eval(z))) < 1e-12
+    z = np.array([0.3 + 0.4j, -1.0 - 0.7j, 2.0 + 1.5j, -0.4 - 2.2j])
+    for coeffs, pole in (({0: 1.0, 1: 2.0, 2: 1.0}, -1j),
+                         ({0: 1.0, -1: 2.0, -2: 1.0}, 1j)):
+        R = LaurentRational.from_dict(coeffs)
+        res = split_atom(R, P_DEFAULT)
+        assert res.bound_ratio <= 1.0 + 1e-12
+        # the whole atom comes back on its own side, with an exact zero partner
+        whole, zero = (res.P, res.Q) if pole == -1j else (res.Q, res.P)
+        assert whole.poles == ((pole, 2),)
+        assert zero.terms == () and zero.poles == ()
+        assert np.all(zero.eval(z) == 0)
+        assert np.max(np.abs(res.P.eval(z) + res.Q.eval(z) - R.eval(z))) < 1e-12
 
 
 def test_zero_atom():
@@ -118,3 +131,55 @@ def test_interior_single_atom_matches_direct_eval():
     val, tail = interior_sum_eval(dec, z)
     assert val == res.P.eval(np.array([z]))[0]
     assert tail == 0.0
+
+
+def _rebuilt(piece):
+    """The piece rebuilt from its serialized report alone."""
+    rep = json.loads(to_json(piece.to_report()))
+    terms = tuple(
+        (complex(t["c"]["re"], t["c"]["im"]),
+         LaurentRational(np.array(t["coeffs_re"]) + 1j * np.array(t["coeffs_im"])),
+         t["shift"])
+        for t in rep["terms"])
+    return SplitPiece(terms, rep["m"], rep["phi"])
+
+
+def test_split_piece_builder_oracle():
+    # P, Q and the blend built directly at a fixed phi, against the closed
+    # forms of the split family; no phi-scan, so any degree stays cheap
+    phi = 0.37
+    e = np.exp(1j * phi)
+    rng = np.random.default_rng(3)
+    atoms = [corpus.get("lorentzian").laurent] + [
+        LaurentRational(rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1))
+        for n in (1, 8, 33, 145)]
+    z = np.concatenate([rng.uniform(-5.0, 5.0, 100) + 1j * rng.uniform(0.1, 3.0, 100),
+                        rng.uniform(-5.0, 5.0, 100) - 1j * rng.uniform(0.1, 3.0, 100)])
+    for R in atoms:
+        m = R.n + 1
+        P = SplitPiece(((1.0, R, m),), m, phi)
+        Q = SplitPiece(((-e, R, 0),), m, phi)
+        r, bm = R.eval(z), beta(z) ** m
+        pv, qv = P.eval(z), Q.eval(z)
+        assert np.max(np.abs(pv - bm * r / (bm - e)) / np.abs(bm * r / (bm - e))) < 1e-12
+        assert np.max(np.abs(qv - (-e * r / (bm - e))) / np.abs(e * r / (bm - e))) < 1e-12
+        assert np.max(np.abs(pv + qv - r) / np.abs(r)) < 1e-12
+        real = tuple((complex(x), 1) for x in np.tan(_root_thetas(m, phi) / 2.0))
+        assert len(real) == m
+        assert P.poles == real + ((-1j, R.pos_degree),)
+        assert Q.poles == real + ((1j, R.neg_degree),)
+        for piece in (P, Q):
+            again = _rebuilt(piece)
+            assert again.poles == piece.poles
+            assert np.array_equal(again.eval(z), piece.eval(z))
+
+    R1, R2 = blend_pair()
+    m = 2 * max(R1.n, R2.n) + 2
+    blend = SplitPiece(((-e, R1, 0), (1.0, R2, m)), m, phi)
+    assert blend.poles == tuple((complex(x), 1) for x in np.tan(_root_thetas(m, phi) / 2.0))
+    bm = beta(z) ** m
+    want = (-e * R1.eval(z) + bm * R2.eval(z)) / (bm - e)
+    assert np.max(np.abs(blend.eval(z) - want) / np.abs(want)) < 1e-12
+    again = _rebuilt(blend)
+    assert again.poles == blend.poles
+    assert np.array_equal(again.eval(z), blend.eval(z))
