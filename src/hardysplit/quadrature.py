@@ -216,7 +216,11 @@ class _GradedSide:
     def feed(self, f, a: float, b: float, k15, err) -> None:
         """Take one cell's GK15 result and apply the stopping rule."""
         tol_abs = self.tol_abs
-        if err > max(tol_abs / 64.0, 1e-3 * abs(k15)):
+        # A cell passes below tol_abs/64, or below 1e-3 of its own value while
+        # the side's accepted error stays within tol_abs: the relative test
+        # alone let such cells add up past the caller's tolerance.
+        if err > tol_abs / 64.0 and (err > 1e-3 * abs(k15)
+                                     or self.acc.err + err > tol_abs):
             sub = _Accumulator()
             _adaptive(f, a, b, tol_abs / 64.0, sub, panel_budget=1024)
             cell_val, cell_err = sub.value, sub.err

@@ -112,3 +112,18 @@ def test_quasinorm_triangle_inequality(a, b, p):
     split = (lp_quasinorm_line(f, p, tol=tol).value
              + lp_quasinorm_line(g, p, tol=tol).value)
     assert both <= split + 1e-4 * split
+
+
+@pytest.mark.parametrize("a, b, p, reference", [
+    (3.0, 4.5, 0.75, 4.7244906537690925),
+    (1.0, 1.5, 0.75, 2.0725931246208114),
+    (1.19921875, 1.546661468384695, 0.75, 1.915725682482674),
+])
+def test_line_quasinorm_through_zeros_meets_tolerance(a, b, p, reference):
+    # a/(1+x^2) - b/(2+x^2) vanishes at two real points (x = +-1 for the
+    # first two cases).  Graded cells near those cusps pass a 1e-3 relative
+    # test; their summed error must still stay within the tolerance.
+    # References: mpmath.quad split at the zeros, 30 digits.
+    res = lp_quasinorm_line(lambda x: a / (1.0 + x * x) - b / (2.0 + x * x), p,
+                            tol=1e-6)
+    assert res.value == pytest.approx(reference, rel=1e-6)
