@@ -7,7 +7,8 @@ polynomial correction q(1+cos theta)(1+cos theta)^m that cancels the
 (1+cos theta)^(-1/p) weight, and push back through beta(z).  The second
 approximates an upper-Hardy boundary function by a rational function with the
 single pole -i, via polynomial approximation of the disc ratio
-h(w)/(1+w)^(N+1).
+h(w)/(1+w)^(N+1).  Both return LaurentRationals, which derive and keep the
+zero at w = -1 that makes them decay; neither expands anything in z.
 
 The correction polynomial q is kept in Chebyshev basis on [0,2]: with
 u - 1 = cos theta one has T_k(cos theta) = (w^k + w^-k)/2, so composing q into
@@ -18,7 +19,7 @@ would destroy all accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -26,14 +27,14 @@ from numpy.polynomial import chebyshev as C
 from .cayley import BoundarySamples, circle_grid, one_plus_cos, pullback
 from .errors import DegreeOverflow, ScheduleStall, UnboundedRatio
 from .quadrature import lp_quasinorm_circle, lp_quasinorm_line
-from .rational import GeneralRational, LaurentRational, polymul, polypow, polyval
+from .rational import LaurentRational, polypow
 from .serialize import to_json
 
 CLIP_PERCENTILE = 99.9
 DEGREE_CAP = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigPolynomial:
     """sum_{j=-d..d} c_j e^{i j theta}; same storage convention as LaurentRational."""
 
@@ -94,7 +95,12 @@ class WeierstrassPlan:
 
 @dataclass(frozen=True)
 class AtomSequence:
-    """Telescoping rational atoms R_k with poles in {i, -i}."""
+    """Telescoping rational atoms R_k with poles in {i, -i}.
+
+    Each atom is a plain LaurentRational; its zero at w = -1 (order 2m for
+    the plan's m) is derived from its coefficients, so the atoms need no
+    separate factored form for evaluation near theta = +-pi.
+    """
 
     p: float
     eps: float
@@ -102,10 +108,6 @@ class AtomSequence:
     budget_p: float
     fp_norm_p: float
     residual_history: tuple
-    # factored boundary form of each atom (trig factor and shared plan);
-    # kept for cancellation-free weighted evaluation near theta = +-pi
-    trig_atoms: tuple = field(default=(), compare=False)
-    plan: "WeierstrassPlan | None" = field(default=None, compare=False)
 
     def partial_sum(self, upto: int | None = None) -> LaurentRational:
         atoms = self.atoms if upto is None else self.atoms[:upto]
@@ -115,20 +117,8 @@ class AtomSequence:
         return total
 
     def boundary_eval_theta(self, theta):
-        """Boundary values of the atom sum at x = tan(theta/2).
-
-        Uses the factored form (trig factor times plan weight) when
-        available; direct Laurent evaluation cancels catastrophically near
-        theta = +-pi at pipeline degrees.
-        """
-        theta = np.atleast_1d(theta)
-        if self.plan is not None and len(self.trig_atoms) == len(self.atoms):
-            u = one_plus_cos(theta)
-            total = np.zeros(theta.shape, dtype=complex)
-            for r in self.trig_atoms:
-                total += r.eval(theta)
-            return total * self.plan.q_eval(u) * u ** self.plan.m
-        return self.partial_sum().eval_w(np.exp(1j * theta))
+        """Boundary values of the atom sum at x = tan(theta/2)."""
+        return self.partial_sum().eval_theta(np.atleast_1d(theta))
 
     def to_report(self) -> dict:
         return {
@@ -136,10 +126,7 @@ class AtomSequence:
             "eps": self.eps,
             "budget_p": self.budget_p,
             "fp_norm_p": self.fp_norm_p,
-            "atoms": [
-                {"n": a.n, "coeffs_re": list(a.coeffs.real), "coeffs_im": list(a.coeffs.imag)}
-                for a in self.atoms
-            ],
+            "atoms": [a.to_report() for a in self.atoms],
             "residuals": list(self.residual_history),
         }
 
@@ -255,16 +242,19 @@ def build_atom(r: TrigPolynomial, plan: WeierstrassPlan, p: float) -> LaurentRat
     return LaurentRational(s)
 
 
-def _weighted_boundary(r: TrigPolynomial, plan: WeierstrassPlan, p: float, theta):
-    """Boundary value of build_atom(r, plan, p) times (1+cos theta)^(-1/p).
+def _stable_weighted(R: LaurentRational, p: float):
+    """Evaluator for R(e^{i theta}) (1+cos theta)^(-1/p), stable at theta=+-pi.
 
-    Computed in factored form r(w) q(u) u^(m - 1/p); the Laurent-coefficient
-    route cancels catastrophically near theta = +-pi where the atom has a
-    high-order zero that the weight divides out.
+    A decaying atom vanishes at w = -1 to the order k it derives, where the
+    weight blows up; R.eval_theta takes that zero as (2 cos(theta/2))^k
+    e^{i k theta/2}, so nothing cancels at any degree.
     """
-    theta = np.atleast_1d(theta)
-    u = one_plus_cos(theta)
-    return r.eval(theta) * plan.q_eval(u) * u ** (plan.m - 1.0 / p)
+
+    def weighted(theta):
+        theta = np.atleast_1d(theta)
+        return R.eval_theta(theta) / one_plus_cos(theta) ** (1.0 / p)
+
+    return weighted
 
 
 @dataclass(frozen=True)
@@ -326,12 +316,14 @@ def rational_sequence(f, p: float, eps: float,
         tvals = np.where(np.isfinite(tvals), tvals, 0.0)
     g = BoundarySamples(n=sched.grid_n, values=tvals, p=p, domain_tag="circle")
 
-    def residual_of(r: TrigPolynomial) -> float:
+    def residual_of(A: LaurentRational) -> float:
+        weighted = _stable_weighted(A, p)
+
         def integrand(theta):
             theta = np.atleast_1d(theta)
             x = np.tan(theta / 2.0)
             gx = np.asarray(f(x), dtype=complex) * one_plus_cos(theta) ** (-1.0 / p)
-            return gx - _weighted_boundary(r, plan, p, theta)
+            return gx - weighted(theta)
 
         return lp_quasinorm_circle(integrand, p, tol=sched.quad_tol).value
 
@@ -344,7 +336,7 @@ def rational_sequence(f, p: float, eps: float,
         history_here = []
         while True:
             r_k = trig_approx(g, degree)
-            res = residual_of(r_k)
+            res = residual_of(build_atom(r_k, plan, p))
             history_here.append(res)
             if not sched.enforce_targets or res <= target:
                 break
@@ -377,24 +369,16 @@ def rational_sequence(f, p: float, eps: float,
         c[d - r1.degree : d + r1.degree + 1] -= r1.coeffs
         return TrigPolynomial(c)
 
-    def atom_norm(r_diff: TrigPolynomial) -> float:
-        return lp_quasinorm_circle(
-            lambda theta: _weighted_boundary(r_diff, plan, p, theta),
-            p, tol=sched.quad_tol,
-        ).value
-
-    atoms, diffs, budget = [], [], 0.0
-    prev = None
-    for cur in cumulative:
-        diff = trig_diff(cur, prev)
-        atoms.append(build_atom(diff, plan, p))
-        diffs.append(diff)
-        budget += atom_norm(diff)
-        prev = cur
+    # R_k is built from r_k - r_{k-1}, not as A_k - A_{k-1}: the cumulative
+    # atoms are up to 1e3 times larger, and their trimmed coefficients would
+    # swamp R_k's zero at w = -1
+    atoms = [build_atom(trig_diff(cur, prev), plan, p)
+             for prev, cur in zip([None] + cumulative, cumulative)]
+    budget = sum(lp_quasinorm_circle(_stable_weighted(R, p), p, tol=sched.quad_tol).value
+                 for R in atoms)
     return AtomSequence(
         p=p, eps=eps, atoms=tuple(atoms), budget_p=budget,
         fp_norm_p=fp_norm, residual_history=tuple(residuals),
-        trig_atoms=tuple(diffs), plan=plan,
     )
 
 
@@ -402,7 +386,7 @@ def rational_sequence(f, p: float, eps: float,
 class SinglePoleResult:
     """Member of the single-pole class (pole -i) with its fit residuals."""
 
-    rational: GeneralRational
+    rational: LaurentRational
     N: int
     degree: int
     sup_residual: float
@@ -423,13 +407,15 @@ class SinglePoleResult:
 
 def single_pole_approx(f, N: int, degree: int, p: float,
                        grid_n: int = 4096, ratio_cap: float = 1e8) -> SinglePoleResult:
-    """Rational approximant (2i/(i+z))^(N+1) P(2i/(i+z)) to an upper-Hardy f.
+    """Rational approximant (1+w)^(N+1) sum_j a_j w^j, w = beta(z), to an upper-Hardy f.
 
     f is the boundary function (callable on R) of an H^p(C_+) member decaying
     at least as fast as |z|^(-N-1).  The disc ratio h(w)/(1+w)^(N+1) is
     smoothed with Fejer means, which converge uniformly when the ratio is
     continuous on the closed disc.  p(N+1) > 1 is required so the returned
-    single-pole rational lies in L^p.
+    single-pole rational lies in L^p.  It is returned as the LaurentRational
+    with only nonnegative powers (pole -i), whose derived zero order at
+    w = -1 is N + 1 unless the fitted ratio itself vanishes there.
     """
     if (N + 1) * p <= 1.0:
         raise ValueError(f"requires (N+1)*p > 1, got N={N}, p={p}")
@@ -449,27 +435,10 @@ def single_pole_approx(f, N: int, degree: int, p: float,
     raw = np.fft.fft(ratio) / grid_n
     js = np.arange(0, degree + 1)
     a = raw[js] * (-1.0) ** js * (1.0 - js / (degree + 1.0))
-    d = degree
-    two_i = 2.0j
+    c = np.convolve(polypow([1.0, 1.0], N + 1), a)
+    rat = LaurentRational(np.concatenate([np.zeros(c.size - 1), c]))
 
-    def stable_eval(z):
-        # R(z) = (1+w)^(N+1) sum a_j w^j with w = beta(z), |w| < 1 above R
-        z = np.asarray(z, dtype=complex)
-        w = (1j - z) / (z + 1j)
-        return (1.0 + w) ** (N + 1) * polyval(a, w)
-
-    # numerator over (z+i)^(N+1+d): sum a_j (2i)^(N+1) (i-z)^j (z+i)^(d-j)
-    i_minus_z = np.array([1j, -1.0], dtype=complex)
-    z_plus_i = np.array([1j, 1.0], dtype=complex)
-    numer = np.zeros(d + 1, dtype=complex)
-    for j, aj in enumerate(a):
-        term = aj * two_i ** (N + 1) * polymul(polypow(i_minus_z, j), polypow(z_plus_i, d - j))
-        numer[: term.size] += term
-    rat = GeneralRational(
-        numer=numer, scale=1.0, poles=((-1j, N + 1 + d),), eval_fn=stable_eval
-    )
-
-    approx_vals = stable_eval(x)
+    approx_vals = rat.eval(x.astype(complex))
     fvals = np.asarray(f(x), dtype=complex)
     sup_res = float(np.max(np.abs(fvals - approx_vals)))
     lp_res = float(np.sum(np.abs(fvals - approx_vals) ** p

@@ -150,14 +150,15 @@ def _verify_profile(entry, p: float) -> dict:
     heights = (0.1, 0.5, 1.0, 2.0, 5.0)
     if entry.side == corpus.ZERO:
         return {"check": "profile", "ok": True, "monotone": True}
-    prof = line_profile(entry.f, p, heights, tol=1e-6)
+    prof = line_profile(entry.f, p, heights, tol=1e-6).to_report()
     expected = entry.side in (corpus.UPPER, corpus.ZERO)
     return {
         "check": "profile",
         "expected_monotone": expected,
-        "monotone": prof.monotone,
-        "values": list(prof.values),
-        "ok": prof.monotone == expected,
+        "monotone": prof["monotone"],
+        "values": prof["values"],
+        "diverged_heights": prof["diverged_heights"],
+        "ok": prof["monotone"] == expected,
     }
 
 

@@ -128,10 +128,13 @@ class LineProfile:
         return max(self.values) ** (1.0 / self.p)
 
     def to_report(self) -> dict:
+        """Values with null at a diverged height, which diverged_heights lists."""
         return {
             "p": self.p,
             "heights": list(self.heights),
-            "values": list(self.values),
+            "values": [v if math.isfinite(v) else None for v in self.values],
+            "diverged_heights": [y for y, v in zip(self.heights, self.values)
+                                 if not math.isfinite(v)],
             "monotone": self.monotone,
         }
 
@@ -144,16 +147,19 @@ def line_profile(f, p: float, heights, tol: float = DEFAULT_TOL,
     """Evaluate int |f(x+iy)|^p dx over the given heights.
 
     f is an interior evaluator on complex points.  A height whose integral
-    fails to converge (a pole on or too near that line) records inf; the
-    monotone flag reports whether values are nonincreasing in y up to a
-    relative slack, which characterizes upper-half-plane membership.
+    fails to converge (a pole on or too near that line) records inf; that is
+    an outcome, so the overflow and invalid values f produces there on the
+    way are not warned about.  The monotone flag reports whether values are
+    nonincreasing in y up to a relative slack, which characterizes
+    upper-half-plane membership.
     """
     hs = tuple(sorted(float(y) for y in heights))
     vals = []
     errs = []
     for y in hs:
         try:
-            res = line_norm_at_height(f, p, y, tol=tol)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                res = line_norm_at_height(f, p, y, tol=tol)
             vals.append(res.value)
             errs.append(res.est_error)
         except NoConvergence:

@@ -1,12 +1,20 @@
 """Laurent-rational functions in beta(z) and pole-structure L^p/H^p certification.
 
-The canonical form is R(z) = sum_{k=-n}^{n} c_k beta(z)^k with beta(z) =
+The canonical form is R(z) = sum_{j=-n}^{n} c_j beta(z)^j with beta(z) =
 (i-z)/(z+i); positive powers put the pole at -i, negative powers at i.
-The z-rational form (to_general) serves only the corpus and the input
-certificate of split_atom; split pieces keep their exact form.  Membership
-in L^p resp. H^p (0<p<1) is decided from the pole certificate alone:
-p * (numerator degree - denominator degree) < -1 and p * order < 1 at every
-real pole, plus analyticity in the requested half plane.
+Each LaurentRational also derives its factored form R(w) = (1+w)^k Q(w):
+k is the order of its zero at w = beta(infinity) = -1, so R decays like
+|x|^-k on the line, and all of its cancellation near infinity lives in k.
+Every evaluation (eval, eval_w, eval_theta, and the split pieces built on
+R) runs through eval_factored, which takes 1 + w from the caller: exactly
+2i/(z+i) on the line and 2 cos(theta/2) e^{i theta/2} on the circle.
+
+Membership in L^p resp. H^p (0<p<1) is decided from the pole certificate
+alone: p * (numerator degree - denominator degree) < -1 and p * order < 1
+at every real pole, plus analyticity in the requested half plane.  A
+Laurent atom's certificate is read off (pos_degree, neg_degree, k); the
+z-rational form (to_general, GeneralRational) serves only the corpus and
+the tests.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .errors import EvalAtPole
 from .serialize import to_json
 
 COEFF_TRIM = 1e-13  # relative threshold when normalizing degrees
+DEFLATE_TOL = 1e-11  # largest remainder, relative to max|c|, taken as a zero at -1
 
 
 def polymul(a, b):
@@ -55,21 +64,70 @@ def _trim_degree(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _deflate(a: np.ndarray, tol: float, limit: int) -> tuple[int, np.ndarray]:
+    """(k, b) with a(w) = (1+w)^k b(w), k <= limit, ascending coefficients.
+
+    Synthetic division by (1+w) repeats while the remainder a(-1) is at
+    most tol; the division is an alternating suffix sum, summed from the
+    top as Horner's rule would.
+    """
+    k = 0
+    while k < limit:
+        sign = np.where(np.arange(a.size) % 2 == 0, 1.0, -1.0)
+        tails = np.cumsum((a * sign)[::-1])[::-1]  # tails[i] = sum_{j>=i} a_j (-1)^j
+        if abs(tails[0]) > tol:
+            break
+        a = -sign[:-1] * tails[1:]
+        k += 1
+    return k, a
+
+
+def beta_charts(z: np.ndarray):
+    """(upper, w, 1 + w, v, 1 + v) for z split by the sign of Im z.
+
+    w = beta(z) on Im z >= 0 and v = 1/beta(z) below, so |w|, |v| <= 1;
+    1 + w = 2i/(z+i) and 1 + v = 2i/(i-z) are exact, which keeps relative
+    accuracy near the zero at beta = -1 (z -> infinity).
+    """
+    upper = z.imag >= 0.0
+    zu, zl = z[upper], z[~upper]
+    return (upper, (1j - zu) / (zu + 1j), 2j / (zu + 1j),
+            (zl + 1j) / (1j - zl), 2j / (1j - zl))
+
+
+@dataclass(frozen=True, eq=False)
 class LaurentRational:
-    """R(z) = sum c_k beta(z)^k, coefficients stored for k = -n..n."""
+    """R(z) = sum c_j beta(z)^j, coefficients stored for j = -n..n.
+
+    zero_order k and quotient Q are derived: R(w) = (1+w)^k Q(w), with Q's
+    ascending coefficients for the powers -neg_degree..pos_degree - k.
+    """
 
     coeffs: np.ndarray
     n: int = field(init=False)
+    zero_order: int = field(init=False)
+    quotient: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError("coeffs must be an odd-length 1-d array (k = -n..n)")
+        raw, raw_n = c, (c.size - 1) // 2
         c = self._normalize(c)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "n", (c.size - 1) // 2)
+        k, q = 0, np.zeros(1, dtype=complex)
+        if not self.is_zero:
+            # deflate before trimming: a trimmed coefficient at power j moves
+            # the k-th remainder by up to j^(k-1) times its size; Q is then
+            # cut to the trimmed span, powers -neg_degree..pos_degree - k
+            k, q = _deflate(raw, DEFLATE_TOL * float(np.abs(c).max()),
+                            self.neg_degree + self.pos_degree)
+            q = q[raw_n - self.neg_degree:raw_n + self.pos_degree - k + 1]
+        q.flags.writeable = False
+        object.__setattr__(self, "zero_order", k)
+        object.__setattr__(self, "quotient", q)
 
     @staticmethod
     def _normalize(c: np.ndarray) -> np.ndarray:
@@ -134,54 +192,72 @@ class LaurentRational:
         c[n - other.n : n + other.n + 1] -= other.coeffs
         return LaurentRational(c)
 
-    def eval_w(self, w):
-        """Evaluate at a disc/circle point w = beta(z).
+    def eval_factored(self, x, one_plus_x, shift: int = 0, reflect: bool = False):
+        """x^shift R(x), or x^shift R(1/x) when reflect, from (1+x)^k Q.
 
-        Positive and negative powers are Horner-evaluated separately so that
-        points with |w| near 0 or infinity stay stable.
+        one_plus_x must equal 1 + x; callers that know it exactly keep full
+        relative accuracy near the zero at x = -1.  Horner runs on Q in x,
+        so pass |x| <= 1 (reflect with x = 1/w where |w| > 1).
         """
+        q = self.quotient[::-1] if reflect else self.quotient
+        power = shift - (self.pos_degree if reflect else self.neg_degree)
+        acc = np.full(np.shape(x), q[-1], dtype=complex)
+        for c in q[-2::-1]:
+            np.multiply(acc, x, out=acc)
+            acc += c
+        if power:
+            acc *= x ** power
+        if self.zero_order:
+            acc *= one_plus_x ** self.zero_order
+        return acc
+
+    def eval_w(self, w):
+        """Evaluate at a disc/circle point w = beta(z)."""
         w = np.asarray(w, dtype=complex)
-        pos = np.zeros(w.shape, dtype=complex)
-        for k in range(self.n, 0, -1):
-            pos = (pos + self.coeffs[k + self.n]) * w
-        neg = np.zeros(w.shape, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(w == 0, np.inf, 1.0 / w)
-        for k in range(self.n, 0, -1):
-            neg = (neg + self.coeffs[self.n - k]) * v
-        out = pos + neg + self.coeffs[self.n]
-        return out[()] if out.ndim == 0 else out
+        return self.eval_factored(w, 1.0 + w)[()]
+
+    def eval_theta(self, theta):
+        """Boundary values R(e^{i theta}), i.e. at x = tan(theta/2)."""
+        theta = np.asarray(theta, dtype=float)
+        half = np.exp(0.5j * theta)
+        return self.eval_factored(half * half, 2.0 * np.cos(0.5 * theta) * half)
 
     def eval(self, z):
         """Evaluate R at half-plane point(s) z."""
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        at_minus_i = z == -1j
-        at_plus_i = z == 1j
-        if np.any(at_minus_i) and self.pos_degree > 0:
+        if self.pos_degree > 0 and np.any(z == -1j):
             raise EvalAtPole("z = -i is a pole of this function")
-        if np.any(at_plus_i) and self.neg_degree > 0:
+        if self.neg_degree > 0 and np.any(z == 1j):
             raise EvalAtPole("z = i is a pole of this function")
+        upper, w, one_plus_w, v, one_plus_v = beta_charts(z)
         out = np.empty(z.shape, dtype=complex)
-        safe = ~(at_minus_i | at_plus_i)
-        w = (1j - z[safe]) / (z[safe] + 1j)
-        out[safe] = self.eval_w(w)
-        out[at_minus_i | at_plus_i] = self.coeffs[self.n]
+        out[upper] = self.eval_factored(w, one_plus_w)
+        out[~upper] = self.eval_factored(v, one_plus_v, reflect=True)
         return out[0] if scalar else out
+
+    def pole_certificate(self) -> "PoleCertificate":
+        """Poles i (order neg_degree) and -i (order pos_degree); degree gap -k."""
+        poles = ((1j, self.neg_degree), (-1j, self.pos_degree))
+        return PoleCertificate(real_poles=(),
+                               complex_poles=tuple((a, l) for a, l in poles if l > 0),
+                               degree_gap=-self.zero_order)
 
     def sup_bound_on_line(self) -> float:
         """Triangle-inequality bound sum |c_k| on |R(x)|, x real."""
         return float(np.sum(np.abs(self.coeffs)))
 
+    def to_report(self) -> dict:
+        return {
+            "n": self.n,
+            "zero_order": self.zero_order,
+            "coeffs_re": list(self.coeffs.real),
+            "coeffs_im": list(self.coeffs.imag),
+        }
+
     def to_json(self) -> str:
-        return to_json(
-            {
-                "n": self.n,
-                "coeffs_re": list(self.coeffs.real),
-                "coeffs_im": list(self.coeffs.imag),
-            }
-        )
+        return to_json(self.to_report())
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentRational":
@@ -224,21 +300,19 @@ class PoleCertificate:
         object.__setattr__(self, "degree_gap", int(self.degree_gap))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralRational:
     """z-rational function: numerator polynomial over a factored denominator.
 
     The denominator is scale * prod (z - a)^order over the pole list; the
     numerator shares no root with it (the constructions here guarantee
-    co-primality).  An optional stable evaluator, which only
-    single_pole_approx supplies, is preferred over the expanded polynomial
-    ratio, whose coefficients are ill-conditioned at high degree.
+    co-primality).  The expanded numerator is ill-conditioned at high
+    degree, so only the corpus and the tests build this form.
     """
 
     numer: np.ndarray
     scale: complex
     poles: tuple
-    eval_fn: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         numer = _trim_degree(np.asarray(self.numer, dtype=complex))
@@ -261,13 +335,10 @@ class GeneralRational:
         for a, _ in self.poles:
             if np.any(z == a):
                 raise EvalAtPole(f"z = {a} is a pole of this function")
-        if self.eval_fn is not None:
-            out = np.asarray(self.eval_fn(z), dtype=complex)
-        else:
-            den = np.full(z.shape, self.scale, dtype=complex)
-            for a, l in self.poles:
-                den *= (z - a) ** l
-            out = polyval(self.numer, z) / den
+        den = np.full(z.shape, self.scale, dtype=complex)
+        for a, l in self.poles:
+            den *= (z - a) ** l
+        out = polyval(self.numer, z) / den
         return out[0] if scalar else out
 
     def pole_certificate(self) -> PoleCertificate:
@@ -278,14 +349,6 @@ class GeneralRational:
         return PoleCertificate(
             real_poles=tuple(real), complex_poles=tuple(cplx), degree_gap=self.degree_gap
         )
-
-    def to_report(self) -> dict:
-        return {
-            "numer_re": list(self.numer.real),
-            "numer_im": list(self.numer.imag),
-            "scale": self.scale,
-            "poles": [{"location": a, "order": l} for a, l in self.poles],
-        }
 
 
 def to_general(R: LaurentRational) -> GeneralRational:

@@ -29,16 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import (
-    AtomSchedule,
-    AtomSequence,
-    _weighted_boundary,
-    rational_sequence,
-)
+from .approx import AtomSchedule, AtomSequence, _stable_weighted, rational_sequence
 from .cayley import one_plus_cos
 from .errors import BoundNotMet, EvalAtPole, NotInLp, OnRealAxis
 from .quadrature import lp_quasinorm_circle
-from .rational import LaurentRational, certify_lp, polyval, to_general
+from .rational import LaurentRational, beta_charts, certify_lp
 from .serialize import to_json
 
 
@@ -62,44 +57,14 @@ def _safe_phi(phi: float, m: int) -> float:
     return phi
 
 
-def _stable_weighted(R: LaurentRational, p: float):
-    """Evaluator for R(e^{i theta}) (1+cos theta)^(-1/p), stable at theta=+-pi.
-
-    Decaying atoms vanish at w = -1, so direct Horner summation there cancels
-    to roundoff while the weight blows up.  Recentring the Laurent polynomial
-    at w = -1 (exact binomial transform, fine at corpus degrees) removes the
-    cancellation; high-degree pipeline atoms supply their own factored form.
-    """
-    from numpy.polynomial import polynomial as P
-
-    n = R.n
-    b = P.Polynomial(R.coeffs)(P.Polynomial([-1.0, 1.0])).coef if n <= 64 else None
-
-    def weighted(theta):
-        theta = np.atleast_1d(theta)
-        w = np.exp(1j * theta)
-        out = np.empty(theta.shape, dtype=complex)
-        s = 1.0 + w
-        near = np.abs(s) < 0.5
-        if b is not None and np.any(near):
-            out[near] = polyval(b, s[near]) * w[near] ** (-n)
-            far = ~near
-        else:
-            far = np.ones(theta.shape, dtype=bool)
-        if np.any(far):
-            out[far] = R.eval_w(w[far])
-        return out / one_plus_cos(theta) ** (1.0 / p)
-
-    return weighted
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPiece:
     """sum_t c_t beta^{s_t} R_t(beta) / (beta^m - e^{i phi}); over 1 when m = 0.
 
     terms holds (c_t, R_t, s_t) with R_t a LaurentRational.  Each term is
-    Horner-evaluated on its own (merged coefficients lose accuracy far out
-    on the line), in w = beta(z) above the axis and in v = 1/w below.
+    evaluated on its own from R_t's factored form (merged coefficients lose
+    accuracy far out on the line), in w = beta(z) above the axis and in
+    v = 1/w below.
     """
 
     terms: tuple
@@ -129,17 +94,13 @@ class SplitPiece:
         for a, _ in self.poles:
             if np.any(z == a):
                 raise EvalAtPole(f"z = {a} is a pole of this function")
-        upper = z.imag >= 0.0
-        w = (1j - z[upper]) / (z[upper] + 1j)
-        v = (z[~upper] + 1j) / (1j - z[~upper])
+        upper, w, one_plus_w, v, one_plus_v = beta_charts(z)
         above = np.zeros(w.shape, dtype=complex)
         below = np.zeros(v.shape, dtype=complex)
         for c, R, s in self.terms:
-            neg, pos = R.neg_degree, R.pos_degree
-            cs = R.coeffs[R.n - neg:R.n + pos + 1]
-            # c_j w^(s+j) above, c_j v^(m-s-j) below
-            above += c * polyval(cs, w) * w ** (s - neg)
-            below += c * polyval(cs[::-1], v) * v ** (self.m - s - pos)
+            # c w^s R(w) above, c v^(m-s) R(1/v) below
+            above += c * R.eval_factored(w, one_plus_w, shift=s)
+            below += c * R.eval_factored(v, one_plus_v, shift=self.m - s, reflect=True)
         if self.m > 0:
             e = np.exp(1j * self.phi)
             above /= w ** self.m - e
@@ -153,8 +114,7 @@ class SplitPiece:
         return {
             "m": self.m,
             "phi": self.phi,
-            "terms": [{"c": c, "shift": s, "n": R.n, "coeffs_re": list(R.coeffs.real),
-                       "coeffs_im": list(R.coeffs.imag)} for c, R, s in self.terms],
+            "terms": [{"c": c, "shift": s, **R.to_report()} for c, R, s in self.terms],
             "poles": [{"location": a, "order": l} for a, l in self.poles],
         }
 
@@ -219,13 +179,8 @@ class SplitResult:
 
 
 def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
-               tol: float = 1e-4, weighted_eval=None) -> SplitResult:
-    """Split atom R into H^p upper + lower pieces at the best of M phis.
-
-    weighted_eval(theta), when given, must return R(e^{i theta}) times
-    (1+cos theta)^(-1/p); pipelines pass their factored form because the
-    Laurent coefficients cancel catastrophically near theta = +-pi.
-    """
+               tol: float = 1e-4) -> SplitResult:
+    """Split atom R into H^p upper + lower pieces at the best of M phis."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"requires 0 < p < 1, got {p}")
     if phi_candidates < 16:
@@ -234,15 +189,13 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
         return SplitResult(P=_ZERO_PIECE, Q=_ZERO_PIECE, phi=0.0,
                            m=R.n + 1, real_poles=(), bound_ratio=0.0,
                            j_value=0.0, r_norm_p=0.0)
-    cert = certify_lp(to_general(R).pole_certificate(), p)
+    cert = certify_lp(R.pole_certificate(), p)
     if not cert["member"]:
         raise NotInLp("; ".join(cert["reasons"]))
 
     m = R.n + 1
-    if weighted_eval is None:
-        weighted_eval = _stable_weighted(R, p)
-
-    r_norm = lp_quasinorm_circle(weighted_eval, p, tol=tol).value
+    weighted = _stable_weighted(R, p)
+    r_norm = lp_quasinorm_circle(weighted, p, tol=tol).value
     # one-sided atoms are already Hardy functions; split trivially
     if R.neg_degree == 0 or R.pos_degree == 0:
         whole = SplitPiece(((1.0, R, 0),), 0, 0.0)
@@ -250,7 +203,7 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
         return SplitResult(P=P, Q=Q, phi=0.0, m=m, real_poles=(), bound_ratio=1.0,
                            j_value=r_norm, r_norm_p=r_norm)
 
-    phi_star, j_star = _phi_scan(weighted_eval, m, p, phi_candidates, tol)
+    phi_star, j_star = _phi_scan(weighted, m, p, phi_candidates, tol)
 
     bound = 2.0 * math.pi / (1.0 - p)
     ratio = j_star / r_norm if r_norm > 0 else 0.0
@@ -309,17 +262,7 @@ def decompose(f, p: float, eps: float,
 def split_sequence(seq: AtomSequence) -> AtomDecomposition:
     """Split every atom of an existing AtomSequence."""
     p = seq.p
-    splits = []
-    for k, atom in enumerate(seq.atoms):
-        weighted = None
-        if seq.plan is not None and k < len(seq.trig_atoms):
-            trig = seq.trig_atoms[k]
-            plan = seq.plan
-
-            def weighted(theta, trig=trig, plan=plan):
-                return _weighted_boundary(trig, plan, p, theta)
-
-        splits.append(split_atom(atom, p, weighted_eval=weighted))
+    splits = [split_atom(atom, p) for atom in seq.atoms]
     budget = sum(2.0 * s.j_value for s in splits)
     bound = 2.0 * (1.0 + 2.0 * math.pi / (1.0 - p)) * seq.fp_norm_p
     if seq.fp_norm_p > 0 and budget > bound:
@@ -352,7 +295,7 @@ def poisson_recovery(decomp: AtomDecomposition, x: float, y: float,
         raise ValueError(f"height must be positive, got {y}")
     if decomp.source is None:
         raise ValueError("decomposition lacks its source atom sequence")
-    seq = decomp.source
+    total = decomp.source.partial_sum()
     from .cayley import theta_of_x
     from .quadrature import integrate
 
@@ -360,7 +303,7 @@ def poisson_recovery(decomp: AtomDecomposition, x: float, y: float,
         theta = np.atleast_1d(theta)
         t = np.tan(theta / 2.0)
         kern = y / ((x - t) ** 2 + y * y)
-        return seq.boundary_eval_theta(theta) * kern / one_plus_cos(theta)
+        return total.eval_theta(theta) * kern / one_plus_cos(theta)
 
     val, err, _ = integrate(integrand, -math.pi, math.pi,
                             singular_points=[float(theta_of_x(x))],

@@ -118,3 +118,13 @@ def test_sequence_boundary_eval_matches_target():
     vals = seq.boundary_eval_theta(thetas)
     target = lorentzian(np.tan(thetas / 2.0))
     assert np.max(np.abs(vals - target) / target) < 2e-2
+
+
+@pytest.mark.parametrize("p", [0.55, 0.75, 0.9])
+def test_pipeline_atoms_certify_their_exact_decay(p):
+    # every atom is r q(u) u^m with u = (1+w)^2/(2w) and m = 1 here: x^-2
+    seq = rational_sequence(lorentzian, p, 0.5, AtomSchedule(stages=4))
+    assert len(seq.atoms) == 4
+    for atom in seq.atoms:
+        assert atom.zero_order == 2
+        assert atom.pole_certificate().degree_gap == -2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardysplit import corpus
+from hardysplit.approx import single_pole_approx
 from hardysplit.cayley import BoundarySamples, circle_grid
 from hardysplit.cli import main
 from hardysplit.rational import LaurentRational
@@ -104,3 +105,30 @@ def test_serializer_golden_fragment():
     text = to_json({"a": 1.0 / 3.0, "z": complex(1, -2), "n": [1, 2]})
     assert text == ('{"a": 0.33333333333333331, '
                     '"z": {"re": 1.0, "im": -2.0}, "n": [1, 2]}')
+
+
+def test_approx_single_pole_high_degree_is_finite_and_exact_off_axis(capsys):
+    code, out = run(capsys, "approx", "--single-pole", "--N", "2", "--degree", "256",
+                    "--corpus", "upper_triple_pole")
+    assert code == 0
+    assert '"inf"' not in out and '"nan"' not in out
+    assert json.loads(out)["rational"]["zero_order"] == 3
+    entry = corpus.get("upper_triple_pole")
+    res = single_pole_approx(entry.boundary, 2, 256, 0.75)
+    R = res.rational
+    assert R.neg_degree == 0 and R.zero_order == 3
+    # f - R is analytic and bounded above the line: its sup there is the line's
+    rng = np.random.default_rng(2)
+    z = rng.uniform(-20.0, 20.0, 200) + 1j * rng.uniform(0.01, 5.0, 200)
+    assert np.max(np.abs(R.eval(z) - entry.f(z))) <= res.sup_residual
+
+
+def test_verify_profile_records_diverged_height(capsys):
+    code, out = run(capsys, "verify", "--corpus", "lower_double_pole",
+                    "--check", "profile")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    # the pole i lies on the line y = 1
+    assert check["diverged_heights"] == [1.0]
+    assert check["values"][2] is None
+    assert all(v > 0 for i, v in enumerate(check["values"]) if i != 2)

@@ -82,10 +82,12 @@ def test_line_profile_closed_form_and_monotone():
 
 
 def test_line_profile_flags_wrong_half_plane():
-    with np.errstate(over="ignore", invalid="ignore"):
-        prof = line_profile(lambda z: (z - 1j) ** -2.0, 1.0,
-                            [0.5, 1.0, 2.0], tol=1e-6)
+    prof = line_profile(lambda z: (z - 1j) ** -2.0, 1.0,
+                        [0.5, 1.0, 2.0], tol=1e-6)
     assert not prof.monotone
+    assert prof.values[1] == math.inf
+    report = prof.to_report()
+    assert report["values"][1] is None and report["diverged_heights"] == [1.0]
 
 
 def test_line_profile_zero():

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardysplit import corpus
+from hardysplit.approx import TrigPolynomial
 from hardysplit.cayley import beta
 from hardysplit.errors import EvalAtPole
 from hardysplit.rational import (
@@ -12,6 +14,7 @@ from hardysplit.rational import (
     certify_lp,
     to_general,
 )
+from hardysplit.split import SplitPiece
 
 
 def coeff_dicts():
@@ -112,3 +115,31 @@ def test_sup_bound_dominates_boundary_values(d):
     theta = np.linspace(-3.1, 3.1, 64)
     vals = np.abs(R.eval_w(np.exp(1j * theta)))
     assert np.all(vals <= R.sup_bound_on_line() + 1e-9)
+
+
+def test_array_dataclasses_compare_by_identity_and_hash():
+    R = LaurentRational.from_dict({-1: 1.0, 0: 2.0, 1: 1.0})
+    S = LaurentRational.from_dict({-1: 1.0, 0: 2.0, 1: 1.0})
+    for a, b in ((R, S),
+                 (to_general(R), to_general(S)),
+                 (TrigPolynomial(np.ones(3)), TrigPolynomial(np.ones(3))),
+                 (SplitPiece(((1.0, R, 2),), 2, 0.3), SplitPiece(((1.0, S, 2),), 2, 0.3))):
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert len({a, b, a}) == 2
+
+
+def test_corpus_atoms_keep_relative_accuracy_far_out():
+    # the zero at beta = -1 is taken exactly as (2i/(z+i))^k
+    x = np.array([1e4, 1e6, 1e8, -1e7])
+    for name, exact in (("upper_double_pole", -4.0 / (x + 1j) ** 2),
+                        ("lorentzian", 4.0 / (x * x + 1.0))):
+        R = corpus.get(name).laurent
+        assert R.zero_order == 2
+        got = R.eval(x.astype(complex))
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-14, name
+
+
+def test_laurent_certificate_matches_z_form():
+    for name in ("upper_double_pole", "lower_double_pole", "lorentzian"):
+        R = corpus.get(name).laurent
+        assert R.pole_certificate() == to_general(R).pole_certificate(), name

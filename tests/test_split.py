@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hardysplit import corpus
-from hardysplit.cayley import beta
+from hardysplit.cayley import beta, one_plus_cos
 from hardysplit.corpus import blend_pair
 from hardysplit.errors import NotInLp, OnRealAxis
 from hardysplit.quadrature import lp_quasinorm_line
@@ -15,6 +15,7 @@ from hardysplit.split import (
     AtomDecomposition,
     SplitPiece,
     _root_thetas,
+    _stable_weighted,
     decompose,
     interior_sum_eval,
     real_pole_blend,
@@ -183,3 +184,18 @@ def test_split_piece_builder_oracle():
     again = _rebuilt(blend)
     assert again.poles == blend.poles
     assert np.array_equal(again.eval(z), blend.eval(z))
+
+
+@pytest.mark.parametrize("p", [0.55, 0.75, 0.95])
+def test_stable_weighted_closed_form_near_infinity(p):
+    # R = c(w) (w + 2 + 1/w) is c(e^{i theta}) 2 (1 + cos theta) on the circle
+    rng = np.random.default_rng(17)
+    theta = math.pi - 10.0 ** -np.arange(1.0, 13.0)
+    w = np.exp(1j * theta)
+    for d in range(4):
+        c = rng.normal(size=2 * d + 1) + 1j * rng.normal(size=2 * d + 1)
+        R = LaurentRational(np.convolve(c, [1.0, 2.0, 1.0]))
+        cw = sum(cj * w ** (j - d) for j, cj in enumerate(c))
+        want = cw * 2.0 * one_plus_cos(theta) ** (1.0 - 1.0 / p)
+        got = _stable_weighted(R, p)(theta)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, d
