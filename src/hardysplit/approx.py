@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .cayley import BoundarySamples, circle_grid, one_plus_cos, pullback
+from .cayley import BoundarySamples, circle_grid, grid_coefficients, one_plus_cos
 from .errors import DegreeOverflow, ScheduleStall, UnboundedRatio
 from .quadrature import lp_quasinorm_circle, lp_quasinorm_line
 from .rational import LaurentRational, polypow
@@ -202,10 +202,8 @@ def trig_approx(g: BoundarySamples, degree: int) -> TrigPolynomial:
     if clip > 0:
         big = mags > clip
         vals[big] = vals[big] * (clip / mags[big])
-    raw = np.fft.fft(vals) / g.n
     js = np.arange(-degree, degree + 1)
-    # grid starts at theta = -pi, so coefficient j picks up the phase (-1)^j
-    coeffs = raw[js % g.n] * (-1.0) ** js
+    coeffs = grid_coefficients(vals)[g.n // 2 + js]
     coeffs *= 1.0 - np.abs(js) / (degree + 1.0)  # Fejer damping
     return TrigPolynomial(coeffs)
 
@@ -419,6 +417,8 @@ def single_pole_approx(f, N: int, degree: int, p: float,
     """
     if (N + 1) * p <= 1.0:
         raise ValueError(f"requires (N+1)*p > 1, got N={N}, p={p}")
+    if degree >= grid_n // 2:
+        raise ValueError(f"degree {degree} must be < n/2 = {grid_n // 2}")
     thetas = circle_grid(grid_n)
     x = np.tan(thetas[1:] / 2.0)
     one_plus_w = 1.0 + np.exp(1j * thetas[1:])
@@ -432,9 +432,8 @@ def single_pole_approx(f, N: int, degree: int, p: float,
             f"h(w)/(1+w)^{N + 1} exceeds the cap near w = -1; f decays too slowly"
         )
 
-    raw = np.fft.fft(ratio) / grid_n
     js = np.arange(0, degree + 1)
-    a = raw[js] * (-1.0) ** js * (1.0 - js / (degree + 1.0))
+    a = grid_coefficients(ratio)[grid_n // 2 + js] * (1.0 - js / (degree + 1.0))
     c = np.convolve(polypow([1.0, 1.0], N + 1), a)
     rat = LaurentRational(np.concatenate([np.zeros(c.size - 1), c]))
 

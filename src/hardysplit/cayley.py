@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NonDecayingInput, PoleAtMinusI, PoleAtMinusOne
 from .serialize import to_json
 
+_DENSE_CHUNK = 16  # rows of the dense evaluator's matrix: 1 MB at n = 4096
+
 
 def alpha(w):
     """Disc -> upper half plane: i(1-w)/(1+w). Accepts scalars or arrays."""
@@ -63,12 +65,28 @@ def _check_grid(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
 
 
+def grid_coefficients(values) -> np.ndarray:
+    """Coefficients c_k, k = -n/2..n/2, of the interpolant of circle_grid data.
+
+    Stored as LaurentRational stores its powers, so on line data c_k is the
+    coefficient of beta(x)^k.  The grid starts at theta = -pi, which puts the
+    phase (-1)^k on the FFT; the Nyquist term is split evenly between k =
+    +-n/2, so real data interpolate by a real function.
+    """
+    n = len(values)
+    ks = np.arange(-(n // 2), n // 2 + 1)
+    c = np.fft.fft(values)[ks % n] / n * (-1.0) ** ks
+    c[[0, -1]] *= 0.5
+    return c
+
+
 @dataclass(frozen=True)
 class BoundarySamples:
     """Boundary values on the uniform circle grid (or its line image).
 
     For domain "line" the j-th value lives at x_j = tan(theta_j/2); the node
     theta = -pi carries the declared limit at infinity (0 for L^p data).
+    coeffs holds the interpolant's grid_coefficients, computed once.
     """
 
     n: int
@@ -76,6 +94,7 @@ class BoundarySamples:
     p: float
     domain_tag: str = "circle"
     _thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_grid(self.n)
@@ -91,10 +110,30 @@ class BoundarySamples:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_thetas", circle_grid(self.n))
+        coeffs = grid_coefficients(vals)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def thetas(self) -> np.ndarray:
         return self._thetas
+
+    def eval_theta(self, theta) -> np.ndarray:
+        """The interpolant at the angles theta, as a flat array.
+
+        Summed densely over at most _DENSE_CHUNK angles at a time, so that
+        the (angles x n) matrix of exponentials stays small for the large
+        batches the quadrature engine makes.
+        """
+        theta = np.ravel(theta)
+        iks = 1j * np.arange(-(self.n // 2), self.n // 2 + 1)
+        out = np.empty(theta.shape, dtype=complex)
+        work = np.empty((min(theta.size, _DENSE_CHUNK), iks.size), dtype=complex)
+        for i in range(0, theta.size, _DENSE_CHUNK):
+            t = theta[i:i + _DENSE_CHUNK]
+            e = np.multiply.outer(t, iks, out=work[:t.size])
+            out[i:i + t.size] = np.exp(e, out=e) @ self.coeffs
+        return out
 
     def to_json(self) -> str:
         return to_json(

@@ -16,14 +16,13 @@ import numpy as np
 
 from . import corpus
 from .approx import AtomSchedule, single_pole_approx
-from .cayley import BoundarySamples
-from .errors import HardySplitError, BoundNotMet, BoundViolated, NoConvergence
+from .cayley import BoundarySamples, theta_of_x
+from .errors import HardySplitError, BoundNotMet, BoundViolated
 from .hardy import cauchy_integral, line_profile, poisson_extend
-from .quadrature import lp_quasinorm_line
 from .rational import LaurentRational
 from .serialize import to_json
 from .spectral import build_F, dft_line, laplace_reconstruct, spectrum_support_test
-from .split import decompose, poisson_recovery, real_pole_blend, split_atom
+from .split import decompose, poisson_recovery, split_atom
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -44,12 +43,12 @@ def _emit(report: dict, output: str | None, csv_text: str | None = None,
 
 
 def _boundary_from_input(path: str):
-    """Line evaluator from a BoundarySamples JSON file."""
-    from .hardy import _as_line_evaluator
-
+    """Line evaluator from a line BoundarySamples JSON file."""
     with open(path, encoding="utf-8") as fh:
         samples = BoundarySamples.from_json(fh.read())
-    return _as_line_evaluator(samples)
+    if samples.domain_tag != "line":
+        raise ValueError("expected line-domain samples")
+    return lambda x: samples.eval_theta(theta_of_x(x))
 
 
 def _corpus_entry(args) -> corpus.CorpusEntry:
@@ -230,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--corpus", default=None,
                         help=f"one of {', '.join(corpus.names())}")
         sp.add_argument("--output", default=None)
-        sp.add_argument("--tol", type=float, default=1e-4)
 
     sp = sub.add_parser("decompose", help="atom pipeline + per-atom split")
     common(sp)
@@ -242,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("split", help="split one Laurent atom")
     common(sp)
     sp.add_argument("--atom", default=None, help="LaurentRational JSON file")
+    sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--phi-grid", type=int, default=16, dest="phi_grid")
     sp.set_defaults(fn=cmd_split)
 

@@ -6,8 +6,12 @@ int |f(x+iy)|^p dx whose supremum defines the half-plane norm, and
 subharmonic_bound_check tests the pointwise growth bound
 |f(x+iy)| <= (2/pi)^{1/p} ||f|| y^{-1/p} that membership forces.
 
-All line integrals ride the same theta substitution x = tan(theta/2) as
-the rest of the package, so the point at infinity needs no special casing.
+Coefficient data, line BoundarySamples and LaurentRationals, are sums
+sum c_k beta(x)^k, whose extensions are closed forms at w = beta(z): with
+A(w) = sum_{k>=0} c_k w^k and B(w) = sum_{k<0} c_k conj(w)^{|k|}, Poisson
+is A + B, and Cauchy is A less half the jump A(-1) - B(-1) that the data
+make at infinity (the symmetric principal value, so constants give 1/2).
+Callables are integrated by quadrature.line_integral in the theta chart.
 """
 
 from __future__ import annotations
@@ -17,29 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import BoundarySamples, one_plus_cos, theta_of_x
+from .cayley import BoundarySamples, beta
 from .errors import BoundViolated, NoConvergence
-from .quadrature import (
-    DEFAULT_TOL,
-    _as_circle_evaluator,
-    integrate,
-    line_norm_at_height,
-)
+from .quadrature import DEFAULT_TOL, line_integral, line_norm_at_height
+from .rational import LaurentRational
 from .serialize import to_json
 
 # Poisson kernels at heights below this are too peaked for the default
 # panels; callers must opt in explicitly.
 MIN_HEIGHT = 0.05
-
-
-def _as_line_evaluator(f):
-    """Callable x -> f(x) from an evaluator or line BoundarySamples."""
-    if not isinstance(f, BoundarySamples):
-        return f
-    if f.domain_tag != "line":
-        raise ValueError("expected line-domain samples")
-    ev = _as_circle_evaluator(f)
-    return lambda x: ev(2.0 * np.arctan(np.atleast_1d(x)))
 
 
 def _check_height(y: float, allow_low: bool) -> None:
@@ -51,59 +41,66 @@ def _check_height(y: float, allow_low: bool) -> None:
         )
 
 
+def _disc_parts(f, z: complex):
+    """(A, B, jump) of coefficient data at w = beta(z), or None for a callable."""
+    if isinstance(f, BoundarySamples) and f.domain_tag != "line":
+        raise ValueError("expected line-domain samples")
+    if not isinstance(f, (BoundarySamples, LaurentRational)):
+        return None
+    c = f.coeffs
+    n = (c.size - 1) // 2
+    powers = complex(beta(z)) ** np.arange(n + 1)
+    signs = (-1.0) ** np.arange(n + 1)
+    up, down = c[n:], c[n::-1]  # down[k] = c_{-k}; down[0] belongs to A
+    return (powers @ up, np.conj(powers[1:]) @ down[1:],
+            signs @ up - signs[1:] @ down[1:])
+
+
 def _kernel_integral(g, x: float, y: float, tol: float):
-    """integral over R of g(t) y/((x-t)^2+y^2) dt via the theta chart."""
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        t = np.tan(theta / 2.0)
-        kern = y / ((x - t) ** 2 + y * y)
-        return np.asarray(g(t), dtype=complex) * kern / one_plus_cos(theta)
-
-    peak = float(theta_of_x(x))
-    val, err, _ = integrate(integrand, -math.pi, math.pi,
-                            singular_points=[peak], tol=tol,
-                            grade_endpoints=True)
-    return val
+    """integral over R of g(t) y/((x-t)^2+y^2) dt."""
+    return line_integral(
+        lambda t: np.asarray(g(t), dtype=complex) * (y / ((x - t) ** 2 + y * y)),
+        [x], tol)[0]
 
 
 def poisson_extend(f, z: complex, tol: float = 1e-8,
                    allow_low: bool = False) -> complex:
     """Poisson average of boundary data f at z = x + iy, y > 0.
 
-    The kernel normalization integral P_y * 1 = 1 is recomputed on the same
+    f is a callable on the line, line BoundarySamples or a LaurentRational.
+    Coefficient data take the closed form A + B.  For a callable, the
+    kernel normalization integral P_y * 1 = 1 is recomputed on the same
     mesh settings and must agree to 1e-10, guarding against under-resolved
     kernel peaks.
     """
     z = complex(z)
     x, y = z.real, z.imag
     _check_height(y, allow_low)
-    ev = _as_line_evaluator(f)
+    parts = _disc_parts(f, z)
+    if parts is not None:
+        return complex(parts[0] + parts[1])
     norm = _kernel_integral(lambda t: np.ones_like(t, dtype=complex), x, y,
                             min(tol, 1e-11))
     if abs(norm / math.pi - 1.0) > 1e-10:
         raise NoConvergence(
             f"kernel normalization off by {abs(norm / math.pi - 1.0):.3g}"
         )
-    return complex(_kernel_integral(ev, x, y, tol) / math.pi)
+    return complex(_kernel_integral(f, x, y, tol) / math.pi)
 
 
 def cauchy_integral(f, z: complex, tol: float = 1e-8,
                     allow_low: bool = False) -> complex:
-    """(1/2 pi i) integral of f(s)/(s - z) ds over R, Im z > 0."""
+    """(1/2 pi i) integral of f(s)/(s - z) ds over R, Im z > 0.
+
+    Coefficient data take the closed form A - jump/2.
+    """
     z = complex(z)
     _check_height(z.imag, allow_low)
-    ev = _as_line_evaluator(f)
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        s = np.tan(theta / 2.0)
-        return np.asarray(ev(s), dtype=complex) / ((s - z) * one_plus_cos(theta))
-
-    peak = float(theta_of_x(z.real))
-    val, err, _ = integrate(integrand, -math.pi, math.pi,
-                            singular_points=[peak], tol=tol,
-                            grade_endpoints=True)
+    parts = _disc_parts(f, z)
+    if parts is not None:
+        return complex(parts[0] - 0.5 * parts[2])
+    val = line_integral(lambda s: np.asarray(f(s), dtype=complex) / (s - z),
+                        [z.real], tol)[0]
     return complex(val / (2.0j * math.pi))
 
 

@@ -1,11 +1,12 @@
 """L^p quasi-norms on the line and circle via adaptive Gauss-Kronrod panels.
 
-Line integrals are pushed onto [-pi, pi] through x = tan(theta/2),
-dx = dtheta / (1 + cos theta), so the point at infinity becomes the ordinary
-endpoint theta = +-pi.  Declared integrable singularities (p * order < 1) and
-the interval endpoints get graded geometric meshes (ratio 1/2); the remaining
-mass past the finest cell is extrapolated from the observed cell-to-cell decay
-ratio, which is exact for pure power behaviour |t - s|^(-q).
+Line integrals go through one routine, line_integral, which pushes them
+onto [-pi, pi] through x = tan(theta/2), dx = dtheta / (1 + cos theta), so
+the point at infinity becomes the ordinary endpoint theta = +-pi.  Declared
+integrable singularities (p * order < 1) and the interval endpoints get
+graded geometric meshes (ratio 1/2); the remaining mass past the finest cell
+is extrapolated from the observed cell-to-cell decay ratio, which is exact
+for pure power behaviour |t - s|^(-q).
 
 A graded side is an endpoint, or one side of a singular point.  The sides
 of one integral advance together as a level wavefront: the first
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import one_plus_cos, theta_of_x
+from .cayley import BoundarySamples, one_plus_cos, theta_of_x
 from .errors import NoConvergence, NonIntegrableSingularity
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK constants, [-1, 1]).
@@ -85,7 +86,6 @@ _GAUSS_WEIGHTS = np.array(
 DEFAULT_TOL = 1e-8
 _GRADE_MIN_LEVELS = 8
 _GRADE_MAX_LEVELS = 48
-_DENSE_CHUNK = 16  # rows of a dense sample-evaluator matrix: 1 MB at n = 4096
 
 
 @dataclass(frozen=True)
@@ -339,33 +339,22 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
     return value, acc.err, acc.panels
 
 
-def _as_circle_evaluator(g):
-    """Callable on theta from either an evaluator or BoundarySamples.
+def line_integral(g, singular_x=(), tol: float = DEFAULT_TOL
+                  ) -> tuple[complex, float, int]:
+    """integral of g(x) dx over R in the theta chart; returns integrate()'s triple.
 
-    Samples become their trigonometric interpolant, summed densely over at
-    most _DENSE_CHUNK points at a time so that the (points x n) matrix of
-    exponentials stays small for the large batches integrate() makes.
+    x = tan(theta/2) and dx = dtheta / (1 + cos theta) put infinity at the
+    graded endpoints theta = +-pi; singular_x are real points where g may
+    blow up integrably or peak, graded at theta(x).
     """
-    from .cayley import BoundarySamples
 
-    if not isinstance(g, BoundarySamples):
-        return g
-    ks = np.fft.fftfreq(g.n, d=1.0 / g.n)  # integer frequencies
-    # the grid starts at theta = -pi
-    coeffs = np.fft.fft(g.values) / g.n * np.exp(-1j * math.pi * ks)
-    iks = 1j * ks
+    def integrand(theta):
+        theta = np.atleast_1d(theta)
+        return np.asarray(g(np.tan(theta / 2.0))) / one_plus_cos(theta)
 
-    def ev(theta):
-        theta = np.ravel(theta)
-        out = np.empty(theta.shape, dtype=complex)
-        work = np.empty((min(theta.size, _DENSE_CHUNK), iks.size), dtype=complex)
-        for i in range(0, theta.size, _DENSE_CHUNK):
-            t = theta[i:i + _DENSE_CHUNK]
-            e = np.multiply.outer(t, iks, out=work[:t.size])
-            out[i:i + t.size] = np.exp(e, out=e) @ coeffs
-        return out
-
-    return ev
+    return integrate(integrand, -math.pi, math.pi,
+                     singular_points=[float(theta_of_x(a)) for a in singular_x],
+                     tol=tol, grade_endpoints=True)
 
 
 def lp_quasinorm_circle(g, p: float, tol: float = DEFAULT_TOL,
@@ -377,7 +366,7 @@ def lp_quasinorm_circle(g, p: float, tol: float = DEFAULT_TOL,
     """
     if not 0.0 < p <= 2.0:
         raise ValueError(f"p must lie in (0, 2], got {p}")
-    ev = _as_circle_evaluator(g)
+    ev = g.eval_theta if isinstance(g, BoundarySamples) else g
 
     def integrand(theta):
         return np.abs(np.asarray(ev(theta), dtype=complex)) ** p
@@ -398,23 +387,14 @@ def lp_quasinorm_line(f, p: float, singularities=(), tol: float = DEFAULT_TOL
     """
     if not 0.0 < p <= 2.0:
         raise ValueError(f"p must lie in (0, 2], got {p}")
-    sing_thetas = []
     for a, l in singularities:
         if p * l >= 1.0:
             raise NonIntegrableSingularity(
                 f"pole at {a} of order {l}: p*l = {p * l:.6g} >= 1"
             )
-        sing_thetas.append(float(theta_of_x(a)))
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        x = np.tan(theta / 2.0)
-        return np.abs(np.asarray(f(x), dtype=complex)) ** p / one_plus_cos(theta)
-
-    val, err, panels = integrate(
-        integrand, -math.pi, math.pi, singular_points=sing_thetas,
-        tol=tol, grade_endpoints=True,
-    )
+    val, err, panels = line_integral(
+        lambda x: np.abs(np.asarray(f(x), dtype=complex)) ** p,
+        [a for a, _ in singularities], tol)
     return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
 
 
@@ -425,15 +405,8 @@ def line_norm_at_height(f, p: float, y: float, tol: float = DEFAULT_TOL
         raise ValueError(f"height must be positive, got {y}")
     if not 0.0 < p <= 2.0:
         raise ValueError(f"p must lie in (0, 2], got {p}")
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        z = np.tan(theta / 2.0) + 1j * y
-        return np.abs(np.asarray(f(z), dtype=complex)) ** p / one_plus_cos(theta)
-
-    val, err, panels = integrate(
-        integrand, -math.pi, math.pi, tol=tol, grade_endpoints=True
-    )
+    val, err, panels = line_integral(
+        lambda x: np.abs(np.asarray(f(x + 1j * y), dtype=complex)) ** p, tol=tol)
     return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
 
 

@@ -214,7 +214,7 @@ def build_F(f, p: float, delta_list=(0.5, 1.0), t_max: float = DEFAULT_T_MAX,
         dev = float(np.max(spread)) / scale
     return FProfile(
         p=p, delta_list=deltas, t_grid=t_grid, F_values=tuple(profiles),
-        max_cross_delta_dev=dev, growth_C=0.0,
+        max_cross_delta_dev=dev, growth_C=proof_growth_constant(p),
         growth_exponent_target=1.0 / p - 1.0, L=L, n=n,
     )
 

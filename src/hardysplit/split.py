@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import AtomSchedule, AtomSequence, _stable_weighted, rational_sequence
-from .cayley import one_plus_cos
 from .errors import BoundNotMet, EvalAtPole, NotInLp, OnRealAxis
+from .hardy import poisson_extend
 from .quadrature import lp_quasinorm_circle
 from .rational import LaurentRational, beta_charts, certify_lp
 from .serialize import to_json
@@ -281,34 +281,20 @@ def split_sequence(seq: AtomSequence) -> AtomDecomposition:
     )
 
 
-def poisson_recovery(decomp: AtomDecomposition, x: float, y: float,
-                     tol: float = 1e-6) -> float:
+def poisson_recovery(decomp: AtomDecomposition, x: float, y: float) -> float:
     """Poisson average at height y of the decomposition's boundary sum.
 
-    The boundary sum of P_k + Q_k equals the atom sum; smoothing it by the
-    kernel y/(pi((x-t)^2+y^2)) recovers the same average of f up to the
-    remaining boundary residual, which is how near-boundary recovery is
-    quantified (direct interior evaluation of the split pieces decays like
-    |beta|^m and is covered by interior_sum_eval's tail bound instead).
+    The boundary sum of P_k + Q_k equals the atom sum; its Poisson extension,
+    the closed form hardy.poisson_extend takes for a LaurentRational, recovers
+    the same average of f up to the remaining boundary residual, which is how
+    near-boundary recovery is quantified (direct interior evaluation of the
+    split pieces decays like |beta|^m and is covered by interior_sum_eval's
+    tail bound instead).
     """
-    if y <= 0.0:
-        raise ValueError(f"height must be positive, got {y}")
     if decomp.source is None:
         raise ValueError("decomposition lacks its source atom sequence")
-    total = decomp.source.partial_sum()
-    from .cayley import theta_of_x
-    from .quadrature import integrate
-
-    def integrand(theta):
-        theta = np.atleast_1d(theta)
-        t = np.tan(theta / 2.0)
-        kern = y / ((x - t) ** 2 + y * y)
-        return total.eval_theta(theta) * kern / one_plus_cos(theta)
-
-    val, err, _ = integrate(integrand, -math.pi, math.pi,
-                            singular_points=[float(theta_of_x(x))],
-                            tol=tol, grade_endpoints=True)
-    return float(val.real / math.pi)
+    return poisson_extend(decomp.source.partial_sum(), complex(x, y),
+                          allow_low=True).real
 
 
 def interior_sum_eval(decomp: AtomDecomposition, z: complex):

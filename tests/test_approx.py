@@ -104,6 +104,13 @@ def test_single_pole_requires_integrability():
         single_pole_approx(lorentzian, N=0, degree=16, p=0.75)  # (N+1)p <= 1
 
 
+def test_single_pole_degree_below_half_the_grid():
+    f = lambda x: -4.0 / (x + 1j) ** 2
+    for degree in (2048, 4095):
+        with pytest.raises(ValueError, match="must be < n/2"):
+            single_pole_approx(f, N=1, degree=degree, p=0.75)
+
+
 def test_single_pole_residual_shrinks_with_degree():
     f = lambda x: 1.0 / ((x + 1j) ** 2 * (x + 2j))
     res16 = single_pole_approx(f, N=2, degree=16, p=0.75)

@@ -11,6 +11,7 @@ from hardysplit.cayley import (
     alpha,
     beta,
     circle_grid,
+    grid_coefficients,
     one_plus_cos,
     pullback,
     theta_of_x,
@@ -64,6 +65,25 @@ def test_boundary_samples_json_round_trip():
     assert np.array_equal(t.values, s.values)
     # 17-digit serialization is byte-stable
     assert s.to_json() == t.to_json()
+
+
+def test_grid_coefficients_layout_and_interpolation():
+    n = 16
+    thetas = circle_grid(n)
+    vals = 2.0 + np.exp(3j * thetas) - 0.5j * np.exp(-5j * thetas) \
+        + 0.25 * np.cos(8 * thetas)
+    c = grid_coefficients(vals)
+    want = np.zeros(n + 1, dtype=complex)  # k = -8..8
+    want[8], want[11], want[3] = 2.0, 1.0, -0.5j
+    want[0] = want[16] = 0.125  # the Nyquist term, split evenly
+    assert np.allclose(c, want, atol=1e-15)
+    s = BoundarySamples(n=n, values=vals, p=0.75)
+    assert np.array_equal(s.coeffs, c)
+    assert np.allclose(s.eval_theta(thetas), vals, atol=1e-14)
+    off = np.linspace(-3.0, 3.0, 37)  # more than one dense chunk
+    assert np.allclose(s.eval_theta(off),
+                       2.0 + np.exp(3j * off) - 0.5j * np.exp(-5j * off)
+                       + 0.25 * np.cos(8 * off), atol=1e-14)
 
 
 def test_boundary_samples_rejects_nonfinite():

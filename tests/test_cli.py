@@ -9,6 +9,7 @@ from hardysplit.cayley import BoundarySamples, circle_grid
 from hardysplit.cli import main
 from hardysplit.rational import LaurentRational
 from hardysplit.serialize import to_json
+from hardysplit.spectral import proof_growth_constant
 
 
 def run(capsys, *argv):
@@ -132,3 +133,44 @@ def test_verify_profile_records_diverged_height(capsys):
     assert check["diverged_heights"] == [1.0]
     assert check["values"][2] is None
     assert all(v > 0 for i, v in enumerate(check["values"]) if i != 2)
+
+
+def test_spectrum_csv_bound_is_the_proof_constant(capsys):
+    p = 0.75
+    code, out = run(capsys, "spectrum", "--corpus", "upper_double_pole",
+                    "--deltas", "0.5,1.0", "--csv", "--p", str(p))
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    C = proof_growth_constant(p)
+    assert C > 0 and rows[0][0] == "0" and float(rows[0][2]) == 0.0
+    for t, _, bound in rows[1:]:
+        assert float(bound) == pytest.approx(C * float(t) ** (1.0 / p - 1.0),
+                                             rel=1e-15)
+    code, out = run(capsys, "spectrum", "--corpus", "upper_double_pole",
+                    "--deltas", "0.5,1.0", "--p", str(p))
+    assert code == 0 and json.loads(out)["growth_C"] == C
+
+
+def test_approx_single_pole_degree_past_the_grid_exits_one(capsys):
+    code = main(["approx", "--single-pole", "--degree", "4096",
+                 "--corpus", "upper_triple_pole"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: degree 4096 must be < n/2")
+
+
+def test_tol_reaches_split_atom_only(monkeypatch, capsys):
+    import hardysplit.cli as cli
+
+    seen = {}
+    real = cli.split_atom
+
+    def spy(R, p, phi_candidates, tol):
+        seen["tol"] = tol
+        return real(R, p, phi_candidates=phi_candidates, tol=tol)
+
+    monkeypatch.setattr(cli, "split_atom", spy)
+    code, _ = run(capsys, "split", "--corpus", "lorentzian", "--tol", "3e-5")
+    assert code == 0 and seen["tol"] == 3e-5
+    for command in ("decompose", "approx", "spectrum", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--corpus", "lorentzian", "--tol", "1e-4"])

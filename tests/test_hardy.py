@@ -44,6 +44,53 @@ def test_poisson_accepts_line_samples():
     assert abs(poisson_extend(samples, 2j) - upper_double(2j)) < 1e-5
 
 
+def _seeded_pole_sum(rng, upper):
+    """sum c_k/(z - a_k)^2 with every a_k 0.5-1.5 off the axis on one side."""
+    k = int(rng.integers(1, 3))
+    sign = -1.0 if upper else 1.0
+    poles = rng.uniform(-1.5, 1.5, k) + 1j * sign * rng.uniform(0.5, 1.5, k)
+    cs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return lambda z: sum(c / (np.asarray(z, dtype=complex) - a) ** 2
+                         for c, a in zip(cs, poles))
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_sample_extensions_take_the_disc_closed_forms(upper):
+    # Poisson of boundary data extends f(z) upward and f(conj z) downward;
+    # Cauchy keeps the upper-analytic part and kills the lower one
+    n = 4096
+    x = np.tan(circle_grid(n)[1:] / 2.0)
+    rng = np.random.default_rng(23 if upper else 29)
+    for _ in range(3):
+        f = _seeded_pole_sum(rng, upper)
+        vals = np.zeros(n, dtype=complex)
+        vals[1:] = f(x)
+        samples = BoundarySamples(n=n, values=vals, p=0.9, domain_tag="line")
+        for z in (0.5j, 1j, 2j, 1.0 + 1j, -2.0 + 0.5j, 3.0 + 0.05j):
+            pv = poisson_extend(samples, z)
+            cv = cauchy_integral(samples, z)
+            want_p = f(z) if upper else f(np.conj(z))
+            want_c = f(z) if upper else 0.0
+            assert abs(pv - want_p) < 1e-12 and abs(cv - want_c) < 1e-12
+
+
+def test_constant_samples_extend_to_one_and_half():
+    # the Cauchy integral of a constant is the symmetric principal value 1/2
+    samples = BoundarySamples(n=64, values=np.ones(64, dtype=complex), p=0.75,
+                              domain_tag="line")
+    for z in (1j, 0.3 + 0.2j, -4.0 + 2.0j):
+        assert abs(poisson_extend(samples, z) - 1.0) < 1e-15
+        assert abs(cauchy_integral(samples, z) - 0.5) < 1e-15
+
+
+def test_extensions_refuse_circle_samples():
+    samples = BoundarySamples(n=16, values=np.ones(16, dtype=complex), p=0.75)
+    with pytest.raises(ValueError):
+        poisson_extend(samples, 1j)
+    with pytest.raises(ValueError):
+        cauchy_integral(samples, 1j)
+
+
 def test_low_height_refused_without_flag():
     with pytest.raises(ValueError):
         poisson_extend(upper_double, 0.01j)

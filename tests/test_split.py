@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardysplit import corpus
+from hardysplit.approx import AtomSchedule
 from hardysplit.cayley import beta, one_plus_cos
 from hardysplit.corpus import blend_pair
 from hardysplit.errors import NotInLp, OnRealAxis
@@ -18,6 +19,7 @@ from hardysplit.split import (
     _stable_weighted,
     decompose,
     interior_sum_eval,
+    poisson_recovery,
     real_pole_blend,
     split_atom,
 )
@@ -122,6 +124,18 @@ def test_interior_sum_eval_guards_and_empty():
     assert val == 0 and tail == 0
     with pytest.raises(OnRealAxis):
         interior_sum_eval(empty, 1.0 + 0.0j)
+
+
+def test_poisson_recovery_is_the_atom_sums_disc_extension():
+    # beta^k extends as beta(z)^k and beta^-k as conj(beta(z))^k
+    f = corpus.get("lorentzian").boundary
+    dec = decompose(f, P_DEFAULT, 0.5, AtomSchedule(stages=2))
+    S = dec.source.partial_sum()
+    for x, y in ((0.0, 0.1), (1.0, 0.1), (-3.0, 0.05), (0.5, 2.0)):
+        w = complex(beta(complex(x, y)))
+        want = sum(S.coeff(k) * w ** k + S.coeff(-k) * w.conjugate() ** k
+                   for k in range(1, S.n + 1)) + S.coeff(0)
+        assert abs(poisson_recovery(dec, x, y) - want.real) <= 1e-13 * abs(want)
 
 
 def test_interior_single_atom_matches_direct_eval():
