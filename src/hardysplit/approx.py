@@ -64,7 +64,7 @@ class TrigPolynomial:
         return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeierstrassPlan:
     """Polynomial plan for cancelling the (1+cos theta)^(-1/p) weight.
 
@@ -115,10 +115,6 @@ class AtomSequence:
         for a in atoms:
             total = total + a
         return total
-
-    def boundary_eval_theta(self, theta):
-        """Boundary values of the atom sum at x = tan(theta/2)."""
-        return self.partial_sum().eval_theta(np.atleast_1d(theta))
 
     def to_report(self) -> dict:
         return {

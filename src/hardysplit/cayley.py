@@ -80,7 +80,7 @@ def grid_coefficients(values) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySamples:
     """Boundary values on the uniform circle grid (or its line image).
 

@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--atom", default=None, help="LaurentRational JSON file")
     sp.add_argument("--tol", type=float, default=1e-4)
-    sp.add_argument("--phi-grid", type=int, default=16, dest="phi_grid")
+    sp.add_argument("--phi-grid", type=int, default=16, dest="phi_grid",
+                    help="fallback grid size: phi candidates scanned only when "
+                         "the structural phi fails to converge or breaks the bound")
     sp.set_defaults(fn=cmd_split)
 
     sp = sub.add_parser("approx", help="single-pole or atom-pipeline fit")

@@ -8,9 +8,10 @@ where m = n+1 exceeds the atom degree.  P is analytic above the real line
 (poles: -i and the m real points where beta^m = e^{i phi}), Q below, and
 P + Q = R identically.  On the real line |beta| = 1, so |P(x)| = |Q(x)|
 pointwise and a single integral J(phi) = ||P(.,phi)||_p^p measures both
-sides.  Averaging J over phi is bounded by (2 pi/(1-p)) ||R||_p^p, so the
-best of M uniform candidates, re-evaluated at the final tolerance, certifies
-a good phi.
+sides.  Averaging J over phi is bounded by (2 pi/(1-p)) ||R||_p^p, so some
+phi meets that bound; phi_a = (m-1) pi mod 2 pi, which puts theta = pi
+midway between two denominator roots, meets it on every corpus atom with one
+J quadrature, and a uniform phi grid is only the fallback.
 
 The same family powers real_pole_blend, which joins an upper single-pole
 rational to a lower one through a function with only real poles, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import AtomSchedule, AtomSequence, _stable_weighted, rational_sequence
-from .errors import BoundNotMet, EvalAtPole, NotInLp, OnRealAxis
+from .errors import BoundNotMet, EvalAtPole, NoConvergence, NotInLp, OnRealAxis
 from .hardy import poisson_extend
 from .quadrature import lp_quasinorm_circle
 from .rational import LaurentRational, beta_charts, certify_lp
@@ -122,36 +123,64 @@ class SplitPiece:
 _ZERO_PIECE = SplitPiece((), 0, 0.0)
 
 
-def _phi_scan(weighted, m: int, p: float, phi_candidates: int, tol: float):
-    """(phi*, J(phi*)) for J(phi) = ||weighted / (w^m - e^{i phi})||_p^p.
+def _phi_scan(weighted, m: int, p: float, bound: float, phi_candidates: int,
+              tol: float):
+    """(phi*, J(phi*), rule) for J(phi) = ||weighted / (w^m - e^{i phi})||_p^p.
 
-    J is scanned at max(tol, 1e-4) over phi_candidates uniform phis, and the
-    best candidate is re-evaluated at tol.
+    rule "structural": J at phi_a = (m-1) pi mod 2 pi (0 for odd m, -pi for
+    even m, written exactly), one quadrature at tol, kept when J <= bound.
+    Otherwise rule "grid": J over phi_candidates uniform phis at
+    max(tol, 1e-4), a candidate that raises NoConvergence counting as +inf;
+    the finite ones are re-evaluated at tol in increasing J and the first
+    that converges is returned.  Raises NoConvergence when none does.
     """
 
     def J(phi: float, jtol: float) -> float:
-        phi = _safe_phi(phi, m)
         e = np.exp(1j * phi)
-        roots = _root_thetas(m, phi)
 
         def integrand(theta):
             theta = np.atleast_1d(theta)
             w = np.exp(1j * theta)
             return weighted(theta) / (w ** m - e)
 
-        return lp_quasinorm_circle(integrand, p, tol=jtol,
-                                   singular_thetas=list(roots)).value
+        try:
+            return lp_quasinorm_circle(integrand, p, tol=jtol,
+                                       singular_thetas=list(_root_thetas(m, phi))).value
+        except NoConvergence:
+            return math.inf
+
+    phi_a = 0.0 if m % 2 else -math.pi
+    j_a = J(phi_a, tol)
+    if j_a <= bound:
+        return phi_a, j_a, "structural"
 
     scan_tol = max(tol, 1e-4)
-    phis = -math.pi + 2.0 * math.pi * np.arange(phi_candidates) / phi_candidates
-    values = [J(float(ph), scan_tol) for ph in phis]
-    phi_star = _safe_phi(float(phis[int(np.argmin(values))]), m)
-    return phi_star, J(phi_star, tol)
+    phis = [_safe_phi(-math.pi + 2.0 * math.pi * k / phi_candidates, m)
+            for k in range(phi_candidates)]
+    values = [J(phi, scan_tol) for phi in phis]
+    for k in sorted(range(phi_candidates), key=values.__getitem__):
+        if values[k] == math.inf:
+            break
+        j = J(phis[k], tol)
+        if j < math.inf:
+            return phis[k], j, "grid"
+    raise NoConvergence(f"J converged at none of {phi_candidates} grid phis after "
+                        f"J(phi_a) = {j_a:.4g} against the bound {bound:.4g}")
+
+
+def _kappa0(p: float) -> float:
+    """The exact phi-mean of J over ||R||_p^p: Gamma(1-p) / Gamma(1-p/2)^2."""
+    return math.exp(math.lgamma(1.0 - p) - 2.0 * math.lgamma(1.0 - p / 2.0))
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """One atom split into an upper piece P and a lower piece Q."""
+    """One atom split into an upper piece P and a lower piece Q.
+
+    phi_rule is how phi was chosen ("structural", "grid", or "none" for zero
+    and one-sided atoms), and kappa_margin = J(phi) / (kappa0 ||R||_p^p)
+    compares J with its exact mean over phi.
+    """
 
     P: SplitPiece
     Q: SplitPiece
@@ -161,15 +190,19 @@ class SplitResult:
     bound_ratio: float
     j_value: float
     r_norm_p: float
+    phi_rule: str
+    kappa_margin: float
 
     def to_report(self) -> dict:
         return {
             "phi": self.phi,
+            "phi_rule": self.phi_rule,
             "m": self.m,
             "real_poles": list(self.real_poles),
             "bound_ratio": self.bound_ratio,
             "j_value": self.j_value,
             "r_norm_p": self.r_norm_p,
+            "kappa_margin": self.kappa_margin,
             "P": self.P.to_report(),
             "Q": self.Q.to_report(),
         }
@@ -180,7 +213,7 @@ class SplitResult:
 
 def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
                tol: float = 1e-4) -> SplitResult:
-    """Split atom R into H^p upper + lower pieces at the best of M phis."""
+    """Split R into H^p upper + lower pieces; phi_candidates sizes the phi fallback grid."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"requires 0 < p < 1, got {p}")
     if phi_candidates < 16:
@@ -188,7 +221,8 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     if R.is_zero:
         return SplitResult(P=_ZERO_PIECE, Q=_ZERO_PIECE, phi=0.0,
                            m=R.n + 1, real_poles=(), bound_ratio=0.0,
-                           j_value=0.0, r_norm_p=0.0)
+                           j_value=0.0, r_norm_p=0.0, phi_rule="none",
+                           kappa_margin=0.0)
     cert = certify_lp(R.pole_certificate(), p)
     if not cert["member"]:
         raise NotInLp("; ".join(cert["reasons"]))
@@ -201,15 +235,16 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
         whole = SplitPiece(((1.0, R, 0),), 0, 0.0)
         P, Q = (whole, _ZERO_PIECE) if R.neg_degree == 0 else (_ZERO_PIECE, whole)
         return SplitResult(P=P, Q=Q, phi=0.0, m=m, real_poles=(), bound_ratio=1.0,
-                           j_value=r_norm, r_norm_p=r_norm)
-
-    phi_star, j_star = _phi_scan(weighted, m, p, phi_candidates, tol)
+                           j_value=r_norm, r_norm_p=r_norm, phi_rule="none",
+                           kappa_margin=1.0 / _kappa0(p))
 
     bound = 2.0 * math.pi / (1.0 - p)
+    phi_star, j_star, rule = _phi_scan(weighted, m, p, bound * r_norm,
+                                       phi_candidates, tol)
     ratio = j_star / r_norm if r_norm > 0 else 0.0
     if ratio > bound:
         raise BoundNotMet(
-            f"best candidate gives ||P||_p^p / ||R||_p^p = {ratio:.4g} > {bound:.4g}"
+            f"phi = {phi_star:.6g} gives ||P||_p^p / ||R||_p^p = {ratio:.4g} > {bound:.4g}"
         )
     P = SplitPiece(((1.0, R, m),), m, phi_star)
     return SplitResult(
@@ -221,6 +256,8 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
         bound_ratio=ratio,
         j_value=j_star,
         r_norm_p=r_norm,
+        phi_rule=rule,
+        kappa_margin=ratio / _kappa0(p),
     )
 
 
@@ -343,10 +380,10 @@ def real_pole_blend(R1: LaurentRational, R2: LaurentRational, p: float,
     diff_norm = lp_quasinorm_circle(weighted_diff, p, tol=tol).value
     # |w^m| = 1 on the circle, so the distance ||blend - R1||_p^p is J's
     # integral for R1 - R2
-    phi_star, d_star = _phi_scan(weighted_diff, m, p, phi_candidates, tol)
     bound = 2.0 * math.pi / (1.0 - p) * diff_norm
+    phi_star, d_star, _ = _phi_scan(weighted_diff, m, p, bound, phi_candidates, tol)
     if d_star > bound:
         raise BoundNotMet(
-            f"best candidate distance {d_star:.4g} exceeds the bound {bound:.4g}"
+            f"phi = {phi_star:.6g} gives distance {d_star:.4g} > {bound:.4g}"
         )
     return SplitPiece(((-np.exp(1j * phi_star), R1, 0), (1.0, R2, m)), m, phi_star)

@@ -122,7 +122,7 @@ def test_sequence_boundary_eval_matches_target():
     seq = rational_sequence(lorentzian, 0.75, 0.5,
                             AtomSchedule(stages=4, base_degree=16))
     thetas = np.array([0.0, 1.0, -2.0, 2.0 * math.atan(3.0)])
-    vals = seq.boundary_eval_theta(thetas)
+    vals = seq.partial_sum().eval_theta(thetas)
     target = lorentzian(np.tan(thetas / 2.0))
     assert np.max(np.abs(vals - target) / target) < 2e-2
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardysplit import corpus
-from hardysplit.approx import TrigPolynomial
-from hardysplit.cayley import beta
+from hardysplit.approx import TrigPolynomial, WeierstrassPlan
+from hardysplit.cayley import BoundarySamples, beta
 from hardysplit.errors import EvalAtPole
 from hardysplit.rational import (
     GeneralRational,
@@ -123,7 +123,11 @@ def test_array_dataclasses_compare_by_identity_and_hash():
     for a, b in ((R, S),
                  (to_general(R), to_general(S)),
                  (TrigPolynomial(np.ones(3)), TrigPolynomial(np.ones(3))),
-                 (SplitPiece(((1.0, R, 2),), 2, 0.3), SplitPiece(((1.0, S, 2),), 2, 0.3))):
+                 (SplitPiece(((1.0, R, 2),), 2, 0.3), SplitPiece(((1.0, S, 2),), 2, 0.3)),
+                 (BoundarySamples(n=16, values=np.ones(16), p=0.75),
+                  BoundarySamples(n=16, values=np.ones(16), p=0.75)),
+                 (WeierstrassPlan(p=0.75, l_p=1, m=1, q_cheb=np.ones(3), sup_err=0.0),
+                  WeierstrassPlan(p=0.75, l_p=1, m=1, q_cheb=np.ones(3), sup_err=0.0))):
         assert (a == a) is True and (a == b) is False and (a != b) is True
         assert len({a, b, a}) == 2
 
