@@ -28,7 +28,6 @@ from .cayley import BoundarySamples, circle_grid, grid_coefficients, one_plus_co
 from .errors import DegreeOverflow, ScheduleStall, UnboundedRatio
 from .quadrature import lp_quasinorm_circle, lp_quasinorm_line
 from .rational import LaurentRational, polypow
-from .serialize import to_json
 
 CLIP_PERCENTILE = 99.9
 DEGREE_CAP = 512
@@ -125,9 +124,6 @@ class AtomSequence:
             "atoms": [a.to_report() for a in self.atoms],
             "residuals": list(self.residual_history),
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_report())
 
 
 def weierstrass_m(p: float) -> tuple[int, int]:
@@ -394,9 +390,6 @@ class SinglePoleResult:
             "lp_residual_p": self.lp_residual_p,
             "rational": self.rational.to_report(),
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_report())
 
 
 def single_pole_approx(f, N: int, degree: int, p: float,

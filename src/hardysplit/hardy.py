@@ -25,7 +25,6 @@ from .cayley import BoundarySamples, beta
 from .errors import BoundViolated, NoConvergence
 from .quadrature import DEFAULT_TOL, line_integral, line_norm_at_height
 from .rational import LaurentRational
-from .serialize import to_json
 
 # Poisson kernels at heights below this are too peaked for the default
 # panels; callers must opt in explicitly.
@@ -134,9 +133,6 @@ class LineProfile:
                                  if not math.isfinite(v)],
             "monotone": self.monotone,
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_report())
 
 
 def line_profile(f, p: float, heights, tol: float = DEFAULT_TOL,

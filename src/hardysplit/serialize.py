@@ -1,76 +1,28 @@
-"""Deterministic JSON emission with 17-significant-digit floats.
+"""Deterministic JSON emission for every report.
 
-The standard json encoder cannot control float formatting, so reports are
-rendered by this small recursive writer.  Field order of input dicts is
-preserved, which makes command output byte-identical across runs.
+Reports go through the standard library encoder: floats are written as their
+shortest round-tripping repr, dicts keep insertion order, so identical inputs
+give byte-identical output.  Complex numbers become {"re": ..., "im": ...};
+numpy arrays and scalars are written as their Python equivalents.  A
+non-finite float is written as the token Infinity or NaN, which Python's json
+reads back; reports that must stay strict JSON map such values to null
+before serialising.
 """
 
 from __future__ import annotations
 
-import math
+import json
+
+import numpy as np
 
 
-def fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        # JSON has no literals for these; reports use strings.
-        return f'"{x!r}"'
-    s = format(float(x), ".17g")
-    # ensure the token stays a JSON number, not an integer-looking float
-    if "e" not in s and "." not in s and "n" not in s:
-        s += ".0"
-    return s
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _emit(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, complex):
-        return f'{{"re": {fmt_float(obj.real)}, "im": {fmt_float(obj.imag)}}}'
-    if isinstance(obj, dict):
-        items = ", ".join(f'"{_escape(str(k))}": {_emit(v)}' for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    # numpy scalars and arrays
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            return _emit(list(obj))
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return fmt_float(float(obj))
-        if isinstance(obj, np.complexfloating):
-            return _emit(complex(obj))
-    except ImportError:  # pragma: no cover
-        pass
+def _default(obj):
+    if isinstance(obj, complex):  # np.complex128 is a complex subclass
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def to_json(obj) -> str:
-    return _emit(obj)
+    return json.dumps(obj, default=_default, ensure_ascii=False)

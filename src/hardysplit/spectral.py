@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WindowTooSmall
-from .serialize import to_json
 
 CONVENTION = "forward = (1/sqrt(2 pi)) integral f(x) e^{-ixt} dx"
 
@@ -97,9 +96,6 @@ class SpectrumProfile:
             "im": list(self.values.imag),
         }
 
-    def to_json(self) -> str:
-        return to_json(self.to_report())
-
 
 def dft_line(f, L: float = DEFAULT_L, n: int = DEFAULT_N) -> SpectrumProfile:
     """Discrete spectrum of boundary data f on the window [-L, L].
@@ -167,9 +163,6 @@ class FProfile:
             "re": list(mean.real),
             "im": list(mean.imag),
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_report())
 
     def to_csv(self, hp_norm: float = 1.0) -> str:
         """Rows (t, |F(t)|, bound(t)) for plotting against the growth bound."""

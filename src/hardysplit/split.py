@@ -18,9 +18,11 @@ rational to a lower one through a function with only real poles, and
 decompose, which runs the atom pipeline and splits every atom.
 
 Every piece is one SplitPiece, sum c beta^s R(beta) / (beta^m - e^{i phi}),
-kept and reported in that exact form: P = ((1, R, m),), Q = ((-e^{i phi},
+kept in that exact form: P = ((1, R, m),), Q = ((-e^{i phi},
 R, 0),), the blend ((-e^{i phi}, R1, 0), (1, R2, m)), and m = 0 (no
-denominator) for zero and one-sided pieces.  Both choose phi by _phi_scan.
+denominator) for zero and one-sided pieces.  A split reports R, m and phi,
+from which P and Q follow; a blend reports its terms.  Both choose phi by
+_phi_scan, which raises BoundNotMet when the chosen phi breaks the bound.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ def _phi_scan(weighted, m: int, p: float, bound: float, phi_candidates: int,
     Otherwise rule "grid": J over phi_candidates uniform phis at
     max(tol, 1e-4), a candidate that raises NoConvergence counting as +inf;
     the finite ones are re-evaluated at tol in increasing J and the first
-    that converges is returned.  Raises NoConvergence when none does.
+    that converges is returned.  Raises NoConvergence when none does, and
+    BoundNotMet when the returned J exceeds bound.
     """
 
     def J(phi: float, jtol: float) -> float:
@@ -163,6 +166,9 @@ def _phi_scan(weighted, m: int, p: float, bound: float, phi_candidates: int,
             break
         j = J(phis[k], tol)
         if j < math.inf:
+            if j > bound:
+                raise BoundNotMet(f"phi = {phis[k]:.6g} gives J = {j:.4g} "
+                                  f"> the bound {bound:.4g}")
             return phis[k], j, "grid"
     raise NoConvergence(f"J converged at none of {phi_candidates} grid phis after "
                         f"J(phi_a) = {j_a:.4g} against the bound {bound:.4g}")
@@ -175,13 +181,16 @@ def _kappa0(p: float) -> float:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """One atom split into an upper piece P and a lower piece Q.
+    """One atom R split into an upper piece P and a lower piece Q.
 
-    phi_rule is how phi was chosen ("structural", "grid", or "none" for zero
-    and one-sided atoms), and kappa_margin = J(phi) / (kappa0 ||R||_p^p)
-    compares J with its exact mean over phi.
+    The report carries R once: P = beta^m R / (beta^m - e^{i phi}) and
+    Q = R - P follow from R, m and phi; for phi_rule "none" R goes whole to
+    the side its poles allow.  phi_rule is how phi was chosen ("structural",
+    "grid", or "none" for zero and one-sided atoms), and kappa_margin =
+    J(phi) / (kappa0 ||R||_p^p) compares J with its exact mean over phi.
     """
 
+    R: LaurentRational
     P: SplitPiece
     Q: SplitPiece
     phi: float
@@ -203,8 +212,7 @@ class SplitResult:
             "j_value": self.j_value,
             "r_norm_p": self.r_norm_p,
             "kappa_margin": self.kappa_margin,
-            "P": self.P.to_report(),
-            "Q": self.Q.to_report(),
+            "R": self.R.to_report(),
         }
 
     def to_json(self) -> str:
@@ -219,7 +227,7 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     if phi_candidates < 16:
         raise ValueError("need at least 16 phi candidates")
     if R.is_zero:
-        return SplitResult(P=_ZERO_PIECE, Q=_ZERO_PIECE, phi=0.0,
+        return SplitResult(R=R, P=_ZERO_PIECE, Q=_ZERO_PIECE, phi=0.0,
                            m=R.n + 1, real_poles=(), bound_ratio=0.0,
                            j_value=0.0, r_norm_p=0.0, phi_rule="none",
                            kappa_margin=0.0)
@@ -234,7 +242,7 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     if R.neg_degree == 0 or R.pos_degree == 0:
         whole = SplitPiece(((1.0, R, 0),), 0, 0.0)
         P, Q = (whole, _ZERO_PIECE) if R.neg_degree == 0 else (_ZERO_PIECE, whole)
-        return SplitResult(P=P, Q=Q, phi=0.0, m=m, real_poles=(), bound_ratio=1.0,
+        return SplitResult(R=R, P=P, Q=Q, phi=0.0, m=m, real_poles=(), bound_ratio=1.0,
                            j_value=r_norm, r_norm_p=r_norm, phi_rule="none",
                            kappa_margin=1.0 / _kappa0(p))
 
@@ -242,12 +250,9 @@ def split_atom(R: LaurentRational, p: float, phi_candidates: int = 16,
     phi_star, j_star, rule = _phi_scan(weighted, m, p, bound * r_norm,
                                        phi_candidates, tol)
     ratio = j_star / r_norm if r_norm > 0 else 0.0
-    if ratio > bound:
-        raise BoundNotMet(
-            f"phi = {phi_star:.6g} gives ||P||_p^p / ||R||_p^p = {ratio:.4g} > {bound:.4g}"
-        )
     P = SplitPiece(((1.0, R, m),), m, phi_star)
     return SplitResult(
+        R=R,
         P=P,
         Q=SplitPiece(((-np.exp(1j * phi_star), R, 0),), m, phi_star),
         phi=phi_star,
@@ -284,9 +289,6 @@ class AtomDecomposition:
             "residuals": list(self.residuals),
             "splits": [s.to_report() for s in self.splits],
         }
-
-    def to_json(self) -> str:
-        return to_json(self.to_report())
 
 
 def decompose(f, p: float, eps: float,
@@ -381,9 +383,5 @@ def real_pole_blend(R1: LaurentRational, R2: LaurentRational, p: float,
     # |w^m| = 1 on the circle, so the distance ||blend - R1||_p^p is J's
     # integral for R1 - R2
     bound = 2.0 * math.pi / (1.0 - p) * diff_norm
-    phi_star, d_star, _ = _phi_scan(weighted_diff, m, p, bound, phi_candidates, tol)
-    if d_star > bound:
-        raise BoundNotMet(
-            f"phi = {phi_star:.6g} gives distance {d_star:.4g} > {bound:.4g}"
-        )
+    phi_star, _, _ = _phi_scan(weighted_diff, m, p, bound, phi_candidates, tol)
     return SplitPiece(((-np.exp(1j * phi_star), R1, 0), (1.0, R2, m)), m, phi_star)

@@ -63,7 +63,7 @@ def test_boundary_samples_json_round_trip():
     t = BoundarySamples.from_json(s.to_json())
     assert t.n == s.n and t.p == s.p and t.domain_tag == s.domain_tag
     assert np.array_equal(t.values, s.values)
-    # 17-digit serialization is byte-stable
+    # shortest-repr serialization round-trips, so it is byte-stable
     assert s.to_json() == t.to_json()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hardysplit import corpus
 from hardysplit.approx import single_pole_approx
 from hardysplit.cayley import BoundarySamples, circle_grid
 from hardysplit.cli import main
+from hardysplit.errors import BoundNotMet, ScheduleStall
 from hardysplit.rational import LaurentRational
 from hardysplit.serialize import to_json
 from hardysplit.spectral import proof_growth_constant
@@ -102,10 +104,76 @@ def test_output_file_written(tmp_path, capsys):
 
 
 def test_serializer_golden_fragment():
-    # 17-significant-digit floats, objects in insertion order
+    # shortest round-tripping floats, objects in insertion order
     text = to_json({"a": 1.0 / 3.0, "z": complex(1, -2), "n": [1, 2]})
-    assert text == ('{"a": 0.33333333333333331, '
+    assert text == ('{"a": 0.3333333333333333, '
                     '"z": {"re": 1.0, "im": -2.0}, "n": [1, 2]}')
+
+
+def _bits(v):
+    """Kind and exact bit pattern of a value or of its JSON image."""
+    if isinstance(v, dict):
+        return ("c", float(v["re"]).hex(), float(v["im"]).hex())
+    if isinstance(v, (bool, np.bool_)):
+        return ("b", bool(v))
+    if isinstance(v, (int, np.integer)):
+        return ("i", int(v))
+    if isinstance(v, (complex, np.complexfloating)):
+        return ("c", float(v.real).hex(), float(v.imag).hex())
+    return ("f", float(v).hex())
+
+
+def test_serializer_round_trips_exactly():
+    scalars = [1.0 / 3.0, 0.1, 5e-324, -0.0, 1e16, 1.7976931348623157e308,
+               np.float64(2.0 / 3.0), np.int64(-7), np.bool_(True),
+               np.complex128(0.1 - 1j / 3.0), complex(-0.0, 5e-324)]
+    for x in scalars:
+        assert _bits(json.loads(to_json(x))) == _bits(x), x
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, 7)
+    for arr in (real, real + 1j * rng.normal(size=7), np.arange(3)):
+        assert [_bits(v) for v in json.loads(to_json(arr))] == [_bits(v) for v in arr]
+
+
+def test_serializer_writes_non_finite_as_tokens():
+    text = to_json([math.inf, -math.inf, math.nan, np.float64("inf"),
+                    complex(math.nan, math.inf)])
+    assert text == '[Infinity, -Infinity, NaN, Infinity, {"re": NaN, "im": Infinity}]'
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+CORPUS_COMMANDS = [
+    ("decompose", "--corpus", "lorentzian"),
+    ("approx", "--single-pole", "--corpus", "upper_triple_pole"),
+    ("approx", "--corpus", "lorentzian"),
+    ("spectrum", "--corpus", "upper_double_pole"),
+    ("spectrum", "--corpus", "upper_double_pole", "--deltas", "0.5,1.0"),
+    *(("split", "--corpus", name) for name in corpus.names()
+      if corpus.get(name).laurent is not None),
+    *(("verify", "--corpus", name) for name in corpus.names()),
+]
+
+
+@pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=" ".join)
+def test_cli_reports_are_strict_json(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("exc, exit_code", [(BoundNotMet, 2), (ScheduleStall, 1)])
+def test_library_invariant_errors_set_the_exit_code(monkeypatch, capsys, exc, exit_code):
+    import hardysplit.cli as cli
+
+    def failing(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(cli, "decompose", failing)
+    code, out = run(capsys, "decompose", "--corpus", "lorentzian")
+    assert code == exit_code and out == ""
 
 
 def test_approx_single_pole_high_degree_is_finite_and_exact_off_axis(capsys):

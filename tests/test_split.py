@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ from hardysplit import corpus, split
 from hardysplit.approx import AtomSchedule
 from hardysplit.cayley import beta, one_plus_cos
 from hardysplit.corpus import blend_pair
-from hardysplit.errors import NoConvergence, NotInLp, OnRealAxis
+from hardysplit.errors import BoundNotMet, NoConvergence, NotInLp, OnRealAxis
 from hardysplit.quadrature import lp_quasinorm_line
 from hardysplit.rational import LaurentRational
 from hardysplit.serialize import to_json
@@ -336,6 +337,52 @@ def test_phi_fallback_raises_when_no_candidate_converges(monkeypatch):
     R1, R2 = blend_pair()
     with pytest.raises(NoConvergence):
         real_pole_blend(R1, R2, P_DEFAULT)
+
+
+def test_phi_scan_raises_when_j_breaks_the_bound(monkeypatch):
+    # every J converges, far above (2 pi/(1-p)) ||R||_p^p at every phi
+    real = split.lp_quasinorm_circle
+
+    def inflated(g, p, tol=1e-8, singular_thetas=()):
+        res = real(g, p, tol=tol, singular_thetas=singular_thetas)
+        if len(singular_thetas):
+            return dataclasses.replace(res, value=1e3 * res.value)
+        return res
+
+    monkeypatch.setattr(split, "lp_quasinorm_circle", inflated)
+    with pytest.raises(BoundNotMet):
+        split_atom(LORENTZIAN_ATOM, P_DEFAULT)
+    R1, R2 = blend_pair()
+    with pytest.raises(BoundNotMet):
+        real_pole_blend(R1, R2, P_DEFAULT)
+
+
+def _pieces_from_report(rep):
+    """(P, Q) rebuilt from a split report alone: R, m, phi and phi_rule."""
+    R = LaurentRational(np.array(rep["R"]["coeffs_re"]) + 1j * np.array(rep["R"]["coeffs_im"]))
+    zero = SplitPiece((), 0, 0.0)
+    if rep["phi_rule"] == "none":
+        if R.is_zero:
+            return zero, zero
+        whole = SplitPiece(((1.0, R, 0),), 0, 0.0)
+        return (whole, zero) if R.neg_degree == 0 else (zero, whole)
+    m, phi = rep["m"], rep["phi"]
+    return (SplitPiece(((1.0, R, m),), m, phi),
+            SplitPiece(((-np.exp(1j * phi), R, 0),), m, phi))
+
+
+@pytest.mark.parametrize("name", ["lorentzian", "upper_double_pole",
+                                  "lower_double_pole", "zero"])
+def test_split_report_carries_R_once_and_rebuilds_P_and_Q(name):
+    res = split_atom(corpus.get(name).laurent, P_DEFAULT)
+    rep = json.loads(res.to_json())
+    assert "P" not in rep and "Q" not in rep
+    P, Q = _pieces_from_report(rep)
+    assert P.poles == res.P.poles and Q.poles == res.Q.poles
+    assert rep["real_poles"] == [a.real for a, _ in P.poles if a.imag == 0.0]
+    z = _off_axis_points()
+    assert np.array_equal(P.eval(z), res.P.eval(z))
+    assert np.array_equal(Q.eval(z), res.Q.eval(z))
 
 
 @pytest.mark.parametrize("p", [0.55, 0.75, 0.9])
