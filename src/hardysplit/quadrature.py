@@ -8,16 +8,21 @@ graded geometric meshes (ratio 1/2); the remaining mass past the finest cell
 is extrapolated from the observed cell-to-cell decay ratio, which is exact
 for pure power behaviour |t - s|^(-q).
 
-A graded side is an endpoint, or one side of a singular point.  The sides
-of one integral advance together as a level wavefront: the first
-_GRADE_MIN_LEVELS levels of every side, which no side can stop before, go
-to the integrand in one call; after that each call holds the next level of
-every side still open.  Each side keeps its own cells, acceptance test,
-sub-refinement, tail extrapolation and stopping rule, and the sides reach
-the accumulator in a fixed order, so the result does not depend on the
-batching.  Only the number of integrand calls does: one per level instead
-of one per cell, which matters because the phi-split integrands grade
-toward 2m + 2 singular sides and pay a fixed cost per call.
+Integrand calls carry a fixed cost (the phi-split integrands grade toward
+2m + 2 singular sides), so calls are batched.  A graded side is an endpoint
+or one side of a singular point.  The sides of one integral advance as a
+level wavefront: one call holds the first _GRADE_MIN_LEVELS levels of every
+side (none can stop sooner), each later call the next _GRADE_LEVELS_PER_CALL
+levels of every open side; cells past a side's stop are discarded unfed.
+The cells of a batch that fail their side's acceptance test, and all smooth
+segments, go to _refine: globally adaptive GK15 (QUADPACK's scheme) run a
+sweep at a time, one integrand call per sweep for all its intervals.
+
+Results do not depend on the batching, only the call count does: each side
+keeps its own cells, tail extrapolation and stopping rule, and its
+acceptance test charges a rejected cell its refinement target, not the
+error refinement reaches; refined panels are summed per cell; and the sides
+reach the accumulator in a fixed order.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ _GAUSS_WEIGHTS = np.array(
 
 DEFAULT_TOL = 1e-8
 _GRADE_MIN_LEVELS = 8
+_GRADE_LEVELS_PER_CALL = 4
 _GRADE_MAX_LEVELS = 48
 
 
@@ -147,30 +153,53 @@ def _panels_eval(f, lo: np.ndarray, hi: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive(f, lo: float, hi: float, tol_abs: float, acc: _Accumulator,
-              panel_budget: int = 4096) -> None:
-    """Bisection-adaptive GK15 on a smooth interval; results go into acc."""
-    k15, err = _panels_eval(f, np.array([lo]), np.array([hi]))
-    heap = [(-float(err[0]), 0, lo, hi, complex(k15[0]))]
-    counter = 1
-    total_err = float(err[0])
-    used = 1
-    while total_err > tol_abs and heap and used < panel_budget:
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        parent_err = -neg_err
-        m = 0.5 * (a + b)
-        if parent_err <= 1e-300 or m <= a or m >= b:
-            acc.add(val, parent_err)
-            total_err -= parent_err
-            continue
-        k15, err = _panels_eval(f, np.array([a, m]), np.array([m, b]))
-        used += 2
-        total_err += float(err.sum()) - parent_err
-        heapq.heappush(heap, (-float(err[0]), counter, a, m, complex(k15[0])))
-        heapq.heappush(heap, (-float(err[1]), counter + 1, m, b, complex(k15[1])))
-        counter += 2
-    for neg_err, _, _a, _b, val in heap:
-        acc.add(val, -neg_err)
+def _refine(f, jobs) -> list[tuple[complex, float, int]]:
+    """Globally adaptive GK15 on smooth intervals, run a sweep at a time.
+
+    A job is (lo, hi, k15, err, tol_abs, panel_budget): an interval with its
+    GK15 result.  Each sweep, every open job pops its largest-error panels
+    until their errors cover its excess over tol_abs, and the children of all
+    jobs go to the integrand in one call.  A job closes within tol_abs, at
+    panel_budget panels, or when no panel can be bisected.  Returns (value,
+    err, panels) per job, each summed in its own heap order.
+    """
+    # per job: [heap of (-err, counter, a, b, k15), unsplittable panels,
+    #           open error, panels used, tol_abs, panel_budget]
+    states = [[[(-err, 0, a, b, k15)], [], err, 1, tol, budget]
+              for a, b, k15, err, tol, budget in jobs]
+    active = [st for st in states if st[2] > st[4]]
+    while active:
+        los, his, popped = [], [], []
+        for st in active:
+            heap, chosen, covered = st[0], [], 0.0
+            while heap and st[2] - covered > st[4] and st[3] < st[5]:
+                panel = heapq.heappop(heap)
+                a, b = panel[2], panel[3]
+                m = 0.5 * (a + b)
+                if -panel[0] <= 1e-300 or m <= a or m >= b:
+                    st[1].append(panel)
+                    st[2] += panel[0]
+                    continue
+                chosen.append((panel[0], st[3]))  # children's counters: used, used + 1
+                covered -= panel[0]
+                st[3] += 2
+                los += (a, m)
+                his += (m, b)
+            popped.append(chosen)
+        if not los:
+            break
+        k15, err = _panels_eval(f, np.array(los), np.array(his))
+        kids = zip(err.tolist(), los, his, k15.tolist())
+        for st, chosen in zip(active, popped):
+            for (neg_err, n), (e0, *left), (e1, *right) in zip(chosen, kids, kids):
+                st[2] += e0 + e1 + neg_err
+                heapq.heappush(st[0], (-e0, n, *left))
+                heapq.heappush(st[0], (-e1, n + 1, *right))
+        active = [st for st, chosen in zip(active, popped)
+                  if chosen and st[2] > st[4] and st[3] < st[5]]
+    return [(_tree_sum(panel[4] for panel in st[1] + st[0]),
+             sum(-panel[0] for panel in st[1] + st[0]), len(st[1]) + len(st[0]))
+            for st in states]
 
 
 class _GradedSide:
@@ -178,15 +207,19 @@ class _GradedSide:
 
     Cells [s + h 2^-(j+1), s + h 2^-j] shrink toward s; the tail past the last
     cell is extrapolated from the geometric decay ratio of cell integrals.
-    The side does not evaluate its cells itself: integrate() collects the
-    next cells of every open side into one batch and feeds the results back
-    in level order.
+    integrate() evaluates the cells of all open sides in one batch, refines
+    the ones accepts() rejects together, and feeds the results back in level
+    order; cells of a batch past the level where the side stops are never
+    fed, and count nowhere.  accepts() charges an accepted cell its raw GK15
+    error and a rejected one its target tol_abs/64, so a cell's fate depends
+    only on the cells before it on its own side.
     """
 
     def __init__(self, s: float, far: float, tol_abs: float):
         self.s = s
         self.h = far - s
         self.tol_abs = tol_abs
+        self.charged = 0.0
         self.vals: list[complex] = []
         self.acc = _Accumulator()
         self.tail = 0.0 + 0.0j
@@ -213,21 +246,20 @@ class _GradedSide:
             self.done = True
         return out
 
-    def feed(self, f, a: float, b: float, k15, err) -> None:
-        """Take one cell's GK15 result and apply the stopping rule."""
+    def accepts(self, k15: complex, err: float) -> bool:
+        """Acceptance test for the side's next cell, in level order."""
         tol_abs = self.tol_abs
         # A cell passes below tol_abs/64, or below 1e-3 of its own value while
-        # the side's accepted error stays within tol_abs: the relative test
+        # the side's charged error stays within tol_abs: the relative test
         # alone let such cells add up past the caller's tolerance.
-        if err > tol_abs / 64.0 and (err > 1e-3 * abs(k15)
-                                     or self.acc.err + err > tol_abs):
-            sub = _Accumulator()
-            _adaptive(f, a, b, tol_abs / 64.0, sub, panel_budget=1024)
-            cell_val, cell_err = sub.value, sub.err
-            self.acc.add(cell_val, cell_err, sub.panels)
-        else:
-            cell_val, cell_err = complex(k15), float(err)
-            self.acc.add(cell_val, cell_err)
+        ok = not (err > tol_abs / 64.0 and (err > 1e-3 * abs(k15)
+                                            or self.charged + err > tol_abs))
+        self.charged += err if ok else tol_abs / 64.0
+        return ok
+
+    def feed(self, cell_val: complex, cell_err: float, panels: int = 1) -> None:
+        """Take one cell's (accepted or refined) result; apply the stopping rule."""
+        self.acc.add(cell_val, cell_err, panels)
         vals = self.vals
         vals.append(cell_val)
         j = len(vals)
@@ -247,7 +279,7 @@ class _GradedSide:
             return  # too close to non-integrable; keep grading
         self.tail = v2 * r / (1.0 - r)
         self.tail_err = abs(self.tail) * (abs(r - r_prev) / abs(1.0 - r) + 1e-12)
-        if self.tail_err <= 0.05 * tol_abs or abs(self.tail) <= 1e-300:
+        if self.tail_err <= 0.05 * self.tol_abs or abs(self.tail) <= 1e-300:
             self.done = True
 
     def add_to(self, acc: _Accumulator) -> None:
@@ -309,25 +341,35 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
             plan.append((u, v))
     sides = [item for item in plan if isinstance(item, _GradedSide)]
 
-    # no side can stop before _GRADE_MIN_LEVELS; then one level at a time
+    # no side can stop before _GRADE_MIN_LEVELS; then a few levels a call
     levels = _GRADE_MIN_LEVELS
     while True:
         batch = [(side, a, b) for side in sides if not side.done
                  for a, b in side.next_cells(levels)]
         if not batch:
             break
-        k15, err = _panels_eval(f, np.array([a for _, a, _ in batch]),
-                                np.array([b for _, _, b in batch]))
-        for (side, a, b), cell_k15, cell_err in zip(batch, k15, err):
-            side.feed(f, a, b, cell_k15, cell_err)
-        levels = 1
+        k15, err = _panels_eval(f, *np.array([item[1:] for item in batch]).T)
+        cells = list(zip(k15.tolist(), err.tolist()))
+        rejected = [i for i, (side, _, _) in enumerate(batch) if not side.accepts(*cells[i])]
+        jobs = [(*batch[i][1:], *cells[i], batch[i][0].tol_abs / 64.0, 1024) for i in rejected]
+        for i, cell in zip(rejected, _refine(f, jobs)):
+            cells[i] = cell
+        for (side, _, _), cell in zip(batch, cells):
+            if not side.done:
+                side.feed(*cell)
+        levels = _GRADE_LEVELS_PER_CALL
 
+    smooth = [item for item in plan if not isinstance(item, _GradedSide)]
+    if smooth:
+        k15, err = _panels_eval(f, *np.array(smooth).T)
+        refined = iter(_refine(f, [(u, v, k, e, seg_tol, 4096) for (u, v), k, e
+                                   in zip(smooth, k15.tolist(), err.tolist())]))
     acc = _Accumulator()
     for item in plan:
         if isinstance(item, _GradedSide):
             item.add_to(acc)
         else:
-            _adaptive(f, *item, seg_tol, acc)
+            acc.add(*next(refined))
     value = acc.value
     if not (math.isfinite(value.real) and math.isfinite(value.imag)
             and math.isfinite(acc.err)):
@@ -357,6 +399,18 @@ def line_integral(g, singular_x=(), tol: float = DEFAULT_TOL
                      tol=tol, grade_endpoints=True)
 
 
+def _abs_p(f, p: float):
+    """The integrand x -> |f(x)|^p of an L^p quasi-norm, 0 < p <= 2."""
+    if not 0.0 < p <= 2.0:
+        raise ValueError(f"p must lie in (0, 2], got {p}")
+    return lambda x: np.abs(np.asarray(f(x), dtype=complex)) ** p
+
+
+def _result(triple) -> QuadratureResult:
+    val, err, panels = triple
+    return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
+
+
 def lp_quasinorm_circle(g, p: float, tol: float = DEFAULT_TOL,
                         singular_thetas=()) -> QuadratureResult:
     """integral of |g(theta)|^p over [-pi, pi] by adaptive panels.
@@ -364,18 +418,9 @@ def lp_quasinorm_circle(g, p: float, tol: float = DEFAULT_TOL,
     Endpoints are always graded: pullbacks of decaying line functions may
     carry integrable blow-ups at theta = +-pi.
     """
-    if not 0.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
-    ev = g.eval_theta if isinstance(g, BoundarySamples) else g
-
-    def integrand(theta):
-        return np.abs(np.asarray(ev(theta), dtype=complex)) ** p
-
-    val, err, panels = integrate(
-        integrand, -math.pi, math.pi, singular_points=singular_thetas,
-        tol=tol, grade_endpoints=True,
-    )
-    return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
+    integrand = _abs_p(g.eval_theta if isinstance(g, BoundarySamples) else g, p)
+    return _result(integrate(integrand, -math.pi, math.pi, singular_points=singular_thetas,
+                             tol=tol, grade_endpoints=True))
 
 
 def lp_quasinorm_line(f, p: float, singularities=(), tol: float = DEFAULT_TOL
@@ -385,17 +430,13 @@ def lp_quasinorm_line(f, p: float, singularities=(), tol: float = DEFAULT_TOL
     singularities is a list of (location, order) real poles; each must satisfy
     p * order < 1, and is mapped to a graded point theta(location).
     """
-    if not 0.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
+    integrand = _abs_p(f, p)
     for a, l in singularities:
         if p * l >= 1.0:
             raise NonIntegrableSingularity(
                 f"pole at {a} of order {l}: p*l = {p * l:.6g} >= 1"
             )
-    val, err, panels = line_integral(
-        lambda x: np.abs(np.asarray(f(x), dtype=complex)) ** p,
-        [a for a, _ in singularities], tol)
-    return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
+    return _result(line_integral(integrand, [a for a, _ in singularities], tol))
 
 
 def line_norm_at_height(f, p: float, y: float, tol: float = DEFAULT_TOL
@@ -403,11 +444,7 @@ def line_norm_at_height(f, p: float, y: float, tol: float = DEFAULT_TOL
     """integral of |f(x + iy)|^p dx for y > 0 (interior line norm)."""
     if y <= 0:
         raise ValueError(f"height must be positive, got {y}")
-    if not 0.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
-    val, err, panels = line_integral(
-        lambda x: np.abs(np.asarray(f(x + 1j * y), dtype=complex)) ** p, tol=tol)
-    return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
+    return _result(line_integral(_abs_p(lambda x: f(x + 1j * y), p), tol=tol))
 
 
 def lp_quasinorm_window(f, p: float, window: float, singularities=(),
@@ -415,13 +452,5 @@ def lp_quasinorm_window(f, p: float, window: float, singularities=(),
     """integral of |f|^p over [-window, window]; used for divergence trends."""
     if window <= 0:
         raise ValueError("window must be positive")
-
-    def integrand(x):
-        return np.abs(np.asarray(f(np.atleast_1d(x)), dtype=complex)) ** p
-
-    sings = [float(a) for a, _ in singularities]
-    val, err, panels = integrate(
-        integrand, -window, window, singular_points=sings, tol=tol,
-        grade_endpoints=False,
-    )
-    return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
+    return _result(integrate(_abs_p(f, p), -window, window,
+                             singular_points=[float(a) for a, _ in singularities], tol=tol))

@@ -19,6 +19,7 @@ the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,6 +262,12 @@ class LaurentRational:
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentRational":
+        """Rebuild from to_json's text, keeping the zero_order it reports.
+
+        Reported coefficients are trimmed at COEFF_TRIM, which moves the i-th
+        deflation remainder by up to COEFF_TRIM C(2n+1, i+1) max|c|; a larger
+        remainder contradicts the reported order and raises ValueError.
+        """
         import json
 
         obj = json.loads(text)
@@ -269,7 +276,18 @@ class LaurentRational:
         )
         if c.size != 2 * obj["n"] + 1:
             raise ValueError("coefficient length does not match declared degree")
-        return cls(c)
+        R, k = cls(c), int(obj["zero_order"])
+        top, q = float(np.abs(R.coeffs).max()), R.coeffs
+        for i in range(k):
+            bound = (DEFLATE_TOL + COEFF_TRIM * math.comb(R.coeffs.size, i + 1)) * top
+            done, q = _deflate(q, bound, min(1, R.neg_degree + R.pos_degree - i))
+            if not done:
+                raise ValueError(f"coefficients contradict zero_order {k}")
+        q = q[R.n - R.neg_degree:R.n + R.pos_degree - k + 1]
+        q.flags.writeable = False
+        object.__setattr__(R, "zero_order", k)
+        object.__setattr__(R, "quotient", q)
+        return R
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardysplit import corpus
-from hardysplit.approx import TrigPolynomial, WeierstrassPlan
+from hardysplit.approx import TrigPolynomial, WeierstrassPlan, single_pole_approx
 from hardysplit.cayley import BoundarySamples, beta
 from hardysplit.errors import EvalAtPole
 from hardysplit.rational import (
@@ -81,6 +83,24 @@ def test_json_round_trip():
     S = LaurentRational.from_json(R.to_json())
     assert np.array_equal(S.coeffs, R.coeffs)
     assert S.to_json() == R.to_json()
+
+
+def test_json_round_trip_keeps_reported_zero_order():
+    # Trimming the reported coefficients moves the third deflation remainder
+    # of this high-degree atom past DEFLATE_TOL: deriving k afresh gives 2.
+    R = single_pole_approx(corpus.get("upper_triple_pole").boundary, 2, 256, 0.75).rational
+    assert R.zero_order == 3 and LaurentRational(R.coeffs).zero_order == 2
+    S = LaurentRational.from_json(R.to_json())
+    assert S.zero_order == 3
+    assert S.pole_certificate() == R.pole_certificate()
+    assert S.pole_certificate().degree_gap == -3
+    z = np.array([0.3 + 0.2j, -4.0 + 1.0j, 25.0 + 0.5j])
+    assert np.allclose(S.eval(z), R.eval(z), rtol=1e-9, atol=0.0)
+    # an order the coefficients cannot carry is refused
+    obj = json.loads(R.to_json())
+    obj["zero_order"] = 5
+    with pytest.raises(ValueError, match="contradict"):
+        LaurentRational.from_json(json.dumps(obj))
 
 
 def test_certify_double_pole_membership_boundary():
