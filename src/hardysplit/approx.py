@@ -26,7 +26,7 @@ from numpy.polynomial import chebyshev as C
 
 from .cayley import BoundarySamples, circle_grid, grid_coefficients, one_plus_cos
 from .errors import DegreeOverflow, ScheduleStall, UnboundedRatio
-from .quadrature import lp_quasinorm_circle, lp_quasinorm_line
+from .quadrature import Declared, lp_quasinorm_circle, lp_quasinorm_line
 from .rational import LaurentRational, polypow
 
 CLIP_PERCENTILE = 99.9
@@ -232,19 +232,23 @@ def build_atom(r: TrigPolynomial, plan: WeierstrassPlan, p: float) -> LaurentRat
     return LaurentRational(s)
 
 
-def _stable_weighted(R: LaurentRational, p: float):
+def _stable_weighted(R: LaurentRational, p: float) -> Declared:
     """Evaluator for R(e^{i theta}) (1+cos theta)^(-1/p), stable at theta=+-pi.
 
     A decaying atom vanishes at w = -1 to the order k it derives, where the
     weight blows up; R.eval_theta takes that zero as (2 cos(theta/2))^k
-    e^{i k theta/2}, so nothing cancels at any degree.
+    e^{i k theta/2}, so nothing cancels at any degree.  The result declares
+    its order k - 2/p at theta = +-pi when k p > 1, where |.|^p is integrable.
     """
 
     def weighted(theta):
         theta = np.atleast_1d(theta)
         return R.eval_theta(theta) / one_plus_cos(theta) ** (1.0 / p)
 
-    return weighted
+    k = R.zero_order
+    orders = () if R.is_zero or k * p <= 1.0 else \
+        ((-math.pi, k - 2.0 / p), (math.pi, k - 2.0 / p))
+    return Declared(weighted, orders)
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,45 @@
-"""L^p quasi-norms on the line and circle via adaptive Gauss-Kronrod panels.
+"""L^p quasi-norms on line and circle by adaptive Gauss-Kronrod and Gauss-Jacobi panels.
 
 Line integrals go through one routine, line_integral, which pushes them
 onto [-pi, pi] through x = tan(theta/2), dx = dtheta / (1 + cos theta), so
-the point at infinity becomes the ordinary endpoint theta = +-pi.  Declared
-integrable singularities (p * order < 1) and the interval endpoints get
-graded geometric meshes (ratio 1/2); the remaining mass past the finest cell
-is extrapolated from the observed cell-to-cell decay ratio, which is exact
-for pure power behaviour |t - s|^(-q).
+the point at infinity becomes the ordinary endpoint theta = +-pi.
 
-Integrand calls carry a fixed cost (the phi-split integrands grade toward
-2m + 2 singular sides), so calls are batched.  A graded side is an endpoint
-or one side of a singular point.  The sides of one integral advance as a
-level wavefront: one call holds the first _GRADE_MIN_LEVELS levels of every
-side (none can stop sooner), each later call the next _GRADE_LEVELS_PER_CALL
-levels of every open side; cells past a side's stop are discarded unfed.
-The cells of a batch that fail their side's acceptance test, and all smooth
-segments, go to _refine: globally adaptive GK15 (QUADPACK's scheme) run a
-sweep at a time, one integrand call per sweep for all its intervals.
+integrate() treats a singular point in one of two ways.
 
-Results do not depend on the batching, only the call count does: each side
-keeps its own cells, tail extrapolation and stopping rule, and its
-acceptance test charges a rejected cell its refinement target, not the
-error refinement reaches; refined panels are summed per cell; and the sides
-reach the accumulator in a fixed order.
+Declared exponents: the caller states f ~ |theta - t|^a at each point t
+(a > -1), as the split does for J(phi) (-p at the denominator roots) and
+for an atom with zero order k (k p - 2 at theta = +-pi), through Declared
+circle functions.  The points cut the interval into panels (none starting
+wider than 1/16 of it), and a panel touching one is integrated by a
+Gauss-Jacobi rule for the weight |s|^a at that end (Golub-Welsch, built on
+first use and cached), with the offset s taken from the reference node.  A
+16/24-node rule pair estimates the error; a panel that misses its share of
+the tolerance is bisected, its regular child going to the sweep refiner
+below.  Nothing is graded or extrapolated.
+
+Graded sides: every undeclared singular point, and the interval endpoints
+when asked, gets a geometric mesh (ratio 1/2); the remaining mass past the
+finest cell is extrapolated from the observed cell-to-cell decay ratio,
+which is exact for pure power behaviour |t - s|^(-q).  Callables and
+samples take this path.  Integrand calls carry a fixed cost, so the sides
+of one integral advance as a level wavefront: one call holds the first
+_GRADE_MIN_LEVELS levels of every side (none can stop sooner), each later
+call the next _GRADE_LEVELS_PER_CALL levels of every open side; cells past
+a side's stop are discarded unfed.
+
+The cells of a batch that fail their side's acceptance test, smooth
+segments and regular children go to _refine: globally adaptive GK15
+(QUADPACK's scheme) run a sweep at a time, one integrand call per sweep for
+all its intervals.  Results do not depend on the batching, only the call
+count does: each side keeps its own cells, tail extrapolation and stopping
+rule, and its acceptance test charges a rejected cell its refinement
+target, not the error refinement reaches; refined panels are summed per
+cell; and sides and panels reach the accumulator in a fixed order.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -92,6 +105,12 @@ DEFAULT_TOL = 1e-8
 _GRADE_MIN_LEVELS = 8
 _GRADE_LEVELS_PER_CALL = 4
 _GRADE_MAX_LEVELS = 48
+# Gauss-Jacobi panels at declared exponents: the larger rule gives the value,
+# its difference from the smaller the error estimate
+_JACOBI_ORDERS = (16, 24)
+_DECLARED_LEVELS = 20
+_DECLARED_BUDGET = 1024
+_DECLARED_MIN_PANELS = 16
 
 
 @dataclass(frozen=True)
@@ -293,14 +312,30 @@ class _GradedSide:
 
 
 def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_TOL,
-              grade_endpoints: bool = False) -> tuple[complex, float, int]:
+              grade_endpoints: bool = False, declared=()) -> tuple[complex, float, int]:
     """Core engine: integral of vectorized f over [lo, hi].
 
     singular_points are interior abscissae where f may blow up integrably;
     grade_endpoints additionally treats lo and hi as potential singular points.
+    declared holds (point, exponent) pairs, f ~ |theta - point|^exponent with
+    exponent > -1 (exponents given twice at one point add); when given, its
+    points are the only singular ones (each singular point must be among
+    them) and they get Gauss-Jacobi panels.
     Returns (value, est_error, panels); raises NoConvergence when the error
     estimate stays above 10x the requested tolerance.
     """
+    exps = {}
+    for t, a in declared:
+        if lo <= t <= hi:
+            exps[float(t)] = exps.get(float(t), 0.0) + float(a)
+    if exps:
+        undeclared = [s for s in singular_points if lo < s < hi and float(s) not in exps]
+        if grade_endpoints or undeclared:
+            raise ValueError("a declared integral cannot also grade undeclared points")
+        for t, a in exps.items():
+            if a <= -1.0:
+                raise NonIntegrableSingularity(f"exponent {a:.6g} <= -1 at {t!r}")
+        return _declared_integral(f, lo, hi, exps, tol)
     sings = sorted({float(s) for s in singular_points if lo < s < hi})
     merged = []
     for s in sings:
@@ -370,6 +405,11 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
             item.add_to(acc)
         else:
             acc.add(*next(refined))
+    return _checked(acc, tol, scale)
+
+
+def _checked(acc: _Accumulator, tol: float, scale: float) -> tuple[complex, float, int]:
+    """The accumulated (value, err, panels), or NoConvergence past 10x tol."""
     value = acc.value
     if not (math.isfinite(value.real) and math.isfinite(value.imag)
             and math.isfinite(acc.err)):
@@ -379,6 +419,149 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
             f"estimated error {acc.err:.3g} exceeds tolerance for value {value:.6g}"
         )
     return value, acc.err, acc.panels
+
+
+def _gauss_jacobi(n: int, a: float, b: float):
+    """n-node Gauss rule (x, w) for the weight (1-x)^a (1+x)^b on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the weight's Jacobi
+    matrix, the weights mu0 times the squared first components of its
+    eigenvectors.  alpha_0 and beta_1 are written in cancelled form, since the
+    textbook recurrence divides 0/0 at a + b = 0 and a + b = -1.
+    """
+    ab = a + b
+    j = np.arange(1.0, n)
+    alpha = np.empty(n)
+    alpha[0] = (b - a) / (ab + 2.0)
+    alpha[1:] = (b * b - a * a) / ((2.0 * j + ab) * (2.0 * j + ab + 2.0))
+    beta = np.empty(n - 1)
+    beta[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    j = j[1:]
+    beta[1:] = (4.0 * j * (j + a) * (j + b) * (j + ab)
+                / ((2.0 * j + ab) ** 2 * (2.0 * j + ab + 1.0) * (2.0 * j + ab - 1.0)))
+    off = np.sqrt(beta)
+    x, vec = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                   + math.lgamma(b + 1.0) - math.lgamma(ab + 2.0))
+    return x, mu0 * vec[0] ** 2
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobi_pair(a: float, b: float):
+    """The _JACOBI_ORDERS rules for (1-x)^a (1+x)^b, merged for one panel.
+
+    Returns (offset, left, W) over the nodes of both rules: a node lies at
+    u + h * offset from the panel's left end u where left holds, and at
+    v - h * offset from its right end v elsewhere (h the half-width), so
+    offset is 1 + x or 1 - x, whichever is smaller.  W's columns are each
+    rule's weights divided by the weight function at the nodes (zero off
+    that rule), so f(x) @ W integrates f by both rules.  The rule for a > b
+    is the mirror image x -> -x of the one for (b, a).
+    """
+    if a > b:
+        offset, left, W = _jacobi_pair(b, a)
+        return offset[::-1], ~left[::-1], W[::-1]
+    rules = [_gauss_jacobi(n, a, b) for n in _JACOBI_ORDERS]
+    x = np.concatenate([x for x, _ in rules])
+    W = np.zeros((x.size, len(rules)))
+    start = 0
+    for col, (_, w) in enumerate(rules):
+        W[start:start + w.size, col] = w
+        start += w.size
+    W /= ((1.0 - x) ** a * (1.0 + x) ** b)[:, None]
+    left = x <= 0.0
+    out = (np.where(left, 1.0 + x, 1.0 - x), left, W)
+    for arr in out:  # cached and shared by every caller
+        arr.flags.writeable = False
+    return out
+
+
+def _declared_integral(f, lo: float, hi: float, exps: dict, tol: float
+                       ) -> tuple[complex, float, int]:
+    """integrate() for declared exponents exps = {point: exponent}, not empty.
+
+    The declared points cut [lo, hi] into segments, each cut evenly into
+    panels no wider than 1/_DECLARED_MIN_PANELS of the interval: a rule pair
+    resolves a few oscillations, and bisecting down from one wide panel
+    would cost an integrand call per halving.  A panel touching a point is
+    integrated by the Gauss-Jacobi pair for its end exponents; each node's
+    offset from the panel end comes from the reference node, so the weight
+    divided out matches the node exactly.  A round sends all such panels to
+    f in one call, with the GK15 nodes of the last round's regular children;
+    the first round's absolute values set the scale.  A panel's share of the
+    tolerance is the mean of its shares of the width and of the scale (mass
+    crowds toward an exponent near -1).  A panel whose two-rule difference
+    exceeds its share is bisected: the child at a declared point stays a
+    Gauss-Jacobi panel, the other goes to _refine.  Past _DECLARED_LEVELS
+    bisections of a panel, or _DECLARED_BUDGET panels in all, nothing is
+    bisected and the error check decides: deeper down, the rounding of theta
+    swamps the node offsets.
+    """
+    points = np.array(sorted({lo, hi, *exps}))
+    if points.size < 2:
+        return 0.0 + 0.0j, 0.0, 0
+    width = hi - lo
+    # cut segment i evenly into k[i] panels
+    k = np.ceil(_DECLARED_MIN_PANELS * np.diff(points) / width).astype(int)
+    seg = np.repeat(np.arange(k.size), k)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(k) - k, k)
+    edges = np.append(points[seg] + (points[seg + 1] - points[seg]) * (j / k[seg]), hi)
+    declared = np.array([t in exps for t in edges.tolist()])
+    ends = np.array([exps.get(t, 0.0) for t in edges.tolist()])
+    # panels [u, v] with exponents eu, ev at their ends, declared or not (du, dv)
+    u, v, eu, ev = edges[:-1], edges[1:], ends[:-1], ends[1:]
+    du, dv = declared[:-1], declared[1:]
+    level = np.zeros(u.size, dtype=int)
+    budget = max(_DECLARED_BUDGET, 2 * u.size)
+    used, scale = 0, None
+    done, jobs = [], []  # accepted (u, value, err) arrays; _refine jobs
+    while u.size:
+        jac = du | dv
+        u_r, v_r = u[~jac], v[~jac]
+        u, v, eu, ev, du, dv, level = (x[jac] for x in (u, v, eu, ev, du, dv, level))
+        # each panel's rule pair, looked up once per distinct end exponents
+        keys = list(zip(ev.tolist(), eu.tolist()))
+        table = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        offset, left, W = (np.stack(r) for r in zip(*(_jacobi_pair(*key) for key in table)))
+        pick = np.array([table[key] for key in keys], dtype=int)
+        offset, left, W = offset[pick], left[pick], W[pick]
+        h = 0.5 * (v - u)[:, None]
+        c_r, h_r = 0.5 * (u_r + v_r), 0.5 * (v_r - u_r)
+        vals = np.asarray(f(np.concatenate([
+            (np.where(left, u[:, None], v[:, None]) + np.where(left, h, -h) * offset).ravel(),
+            (c_r[:, None] + h_r[:, None] * _KRONROD_NODES[None, :]).ravel()])), dtype=complex)
+
+        est = h * np.einsum("pn,pnc->pc", vals[:offset.size].reshape(offset.shape), W)
+        rv = vals[offset.size:].reshape(c_r.size, _KRONROD_NODES.size)
+        k15 = h_r * (rv @ _KRONROD_WEIGHTS)
+        k_err = np.abs(k15 - h_r * (rv[:, 1::2] @ _GAUSS_WEIGHTS))
+        if scale is None:
+            scale = float(np.abs(est[:, -1]).sum() + np.abs(k15).sum())
+        share = 0.5 * tol * (scale * (v_r - u_r) / width + np.abs(k15))
+        jobs += zip(*(x.tolist() for x in (u_r, v_r, k15, k_err, share)))
+
+        value, err = est[:, -1], np.abs(est[:, -1] - est[:, 0])
+        mid = 0.5 * (u + v)
+        share = 0.5 * tol * (scale * (v - u) / width + np.abs(value))
+        split = (err > share) & (level < _DECLARED_LEVELS) & (u < mid) & (mid < v)
+        used += u.size
+        split &= np.cumsum(split) <= (budget - used) // 2
+        done.append((u[~split], value[~split], err[~split]))
+        zero, no = np.zeros(int(split.sum())), np.zeros(int(split.sum()), dtype=bool)
+        u, v = np.concatenate([u[split], mid[split]]), np.concatenate([mid[split], v[split]])
+        eu, ev = np.concatenate([eu[split], zero]), np.concatenate([zero, ev[split]])
+        du, dv = np.concatenate([du[split], no]), np.concatenate([no, dv[split]])
+        level = np.concatenate([level[split], level[split]]) + 1
+
+    terms = [(a, val, e, 1) for part in done for a, val, e in zip(*(x.tolist() for x in part))]
+    # the regular children share 8 * _DECLARED_BUDGET panels, 64 to 1024 each
+    each = min(1024, max(64, 8 * _DECLARED_BUDGET // max(len(jobs), 1)))
+    jobs = [(*job, each) for job in jobs]
+    terms += [(job[0], *res) for job, res in zip(jobs, _refine(f, jobs))]
+    acc = _Accumulator()
+    for _, value, err, n in sorted(terms, key=lambda term: term[0]):
+        acc.add(value, err, n)
+    return _checked(acc, tol, scale)
 
 
 def line_integral(g, singular_x=(), tol: float = DEFAULT_TOL
@@ -411,13 +594,35 @@ def _result(triple) -> QuadratureResult:
     return QuadratureResult(value=float(val.real), est_error=err, panels=panels)
 
 
+@dataclass(frozen=True)
+class Declared:
+    """A circle function g with declared orders: |g| ~ c |theta - t|^order at each (t, order).
+
+    lp_quasinorm_circle integrates |g|^p with exponent p * order at each t,
+    and takes every point that orders does not name, theta = +-pi included,
+    as regular.  With no orders, g is integrated like any callable.
+    """
+
+    g: object
+    orders: tuple
+
+    def __call__(self, theta):
+        return self.g(theta)
+
+
 def lp_quasinorm_circle(g, p: float, tol: float = DEFAULT_TOL,
                         singular_thetas=()) -> QuadratureResult:
     """integral of |g(theta)|^p over [-pi, pi] by adaptive panels.
 
-    Endpoints are always graded: pullbacks of decaying line functions may
-    carry integrable blow-ups at theta = +-pi.
+    Endpoints are graded: pullbacks of decaying line functions may carry
+    integrable blow-ups at theta = +-pi.  A Declared g gets Gauss-Jacobi
+    panels at its declared points instead, and singular_thetas must be among
+    them.
     """
+    if isinstance(g, Declared) and g.orders:
+        return _result(integrate(_abs_p(g.g, p), -math.pi, math.pi,
+                                 singular_points=singular_thetas, tol=tol,
+                                 declared=[(t, p * order) for t, order in g.orders]))
     integrand = _abs_p(g.eval_theta if isinstance(g, BoundarySamples) else g, p)
     return _result(integrate(integrand, -math.pi, math.pi, singular_points=singular_thetas,
                              tol=tol, grade_endpoints=True))

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from hardysplit import corpus, quadrature
 from hardysplit.errors import NoConvergence, NonIntegrableSingularity
 from hardysplit.quadrature import (
+    _JACOBI_ORDERS,
+    Declared,
+    _gauss_jacobi,
+    _jacobi_pair,
     integrate,
     lp_quasinorm_circle,
     lp_quasinorm_line,
@@ -166,6 +170,98 @@ def test_refinement_heavy_kernel_stays_within_call_budget():
     assert len(calls) <= 200
     if res is not None:
         assert res.value == pytest.approx(kernel_oracle(0.9), rel=1e-8)
+
+
+# (a, b) of the weight (1-x)^a (1+x)^b: a + b = 0; a + b = -1, where the
+# textbook beta_1 divides 0/0 (a = b = -1/2 is the k = 2, p = 0.75 norm
+# panel); exponents near -1; a > b, which _jacobi_pair mirrors
+JACOBI_CASES = [(0.3, -0.3), (-0.5, -0.5), (-0.25, -0.75), (-0.97, -0.97),
+                (-0.8, 0.0), (0.0, -0.06), (1.5, -0.9)]
+
+
+def jacobi_moment(a, b, k):
+    """integral of (1-x)^a (1+x)^(b+k) over [-1, 1]: 2^(a+b+k+1) B(a+1, b+k+1)."""
+    return math.exp((a + b + k + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + k + 1.0) - math.lgamma(a + b + k + 2.0))
+
+
+@pytest.mark.parametrize("n", _JACOBI_ORDERS)
+@pytest.mark.parametrize("a, b", JACOBI_CASES)
+def test_gauss_jacobi_rule_is_exact_to_degree_2n_minus_1(a, b, n):
+    x, w = _gauss_jacobi(n, a, b)
+    assert np.all(np.abs(x) < 1.0) and np.all(w > 0.0)
+    for k in range(2 * n):
+        got = float(np.sum(w * (1.0 + x) ** k))
+        assert got == pytest.approx(jacobi_moment(a, b, k), rel=1e-12), k
+
+
+@pytest.mark.parametrize("a, b", JACOBI_CASES)
+def test_merged_rule_pair_integrates_weighted_polynomials(a, b):
+    # f @ W integrates f by each rule of the pair; f carries the weight
+    offset, left, W = _jacobi_pair(a, b)
+    one_plus_x = np.where(left, offset, 2.0 - offset)
+    one_minus_x = np.where(left, 2.0 - offset, offset)
+    for col, n in enumerate(_JACOBI_ORDERS):
+        for k in range(2 * n):
+            got = (one_minus_x ** a * one_plus_x ** (b + k)) @ W[:, col]
+            assert got == pytest.approx(jacobi_moment(a, b, k), rel=1e-12), (n, k)
+
+
+def declared_kernel_quasinorm(m, p, phi, tol, calls):
+    """The kernel quasinorm with exponent -p declared at each root; logs calls."""
+    e = np.exp(1j * phi)
+    roots = list(_root_thetas(m, phi))
+
+    def g(theta):
+        calls.append(np.size(theta))
+        return 1.0 / (np.exp(1j * m * theta) - e)
+
+    return lp_quasinorm_circle(Declared(g, tuple((t, -1.0) for t in roots)), p,
+                               tol=tol, singular_thetas=roots)
+
+
+@pytest.mark.parametrize("m, p, phi", [(5, 0.9, 0.1), (5, 0.9, 0.3), (5, 0.9, 2.0),
+                                       (146, 0.97, -math.pi)])
+def test_declared_kernel_gamma_oracle(m, p, phi):
+    # The m = 5 cases raise NoConvergence on the graded path at this tolerance.
+    # One Gauss-Jacobi panel between adjacent roots integrates |s|^-p exactly,
+    # and all panels go to the integrand in one call.
+    calls = []
+    res = declared_kernel_quasinorm(m, p, phi, 1e-8, calls)
+    assert res.value == pytest.approx(kernel_oracle(p), rel=1e-9)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a", [-0.8, -0.5, 0.3])
+def test_declared_endpoint_gamma_oracle(a):
+    # integral of |2 cos(t/2)|^a over the circle: 2 pi G(1+a) / G(1+a/2)^2;
+    # a = -0.8 is the theta = +-pi exponent k p - 2 of a k = 4 atom at p = 0.3
+    oracle = 2.0 * math.pi * math.gamma(1.0 + a) / math.gamma(1.0 + 0.5 * a) ** 2
+    val, err, _ = integrate(lambda t: np.abs(2.0 * np.cos(t / 2.0)) ** a, -math.pi, math.pi,
+                            tol=1e-8, declared=[(-math.pi, a), (math.pi, a)])
+    assert val.real == pytest.approx(oracle, rel=1e-9)
+    assert err <= 1e-8 * oracle
+
+
+def test_declared_refinement_is_bounded():
+    # At tol 1e-14 the rounding of theta near the roots swamps the offsets of
+    # the nodes: no panel meets its share, bisection stops at its level and
+    # panel budgets, and the error check raises.
+    calls = []
+    with pytest.raises(NoConvergence):
+        declared_kernel_quasinorm(5, 0.9, 0.1, 1e-14, calls)
+    assert sum(calls) <= 300_000
+
+
+def test_declared_exponents_are_checked():
+    f = lambda t: np.abs(t) ** -0.5
+    with pytest.raises(NonIntegrableSingularity):
+        integrate(f, -1.0, 1.0, declared=[(0.0, -1.0)])
+    with pytest.raises(ValueError):
+        integrate(f, -1.0, 1.0, singular_points=[0.5], declared=[(0.0, -0.5)])
+    val, _, _ = integrate(f, -1.0, 1.0, singular_points=[0.0], declared=[(0.0, -0.5)],
+                          tol=1e-10)
+    assert val.real == pytest.approx(4.0, rel=1e-12)
 
 
 def _numbers(obj):

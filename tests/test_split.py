@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -10,7 +11,7 @@ from hardysplit.approx import AtomSchedule
 from hardysplit.cayley import beta, one_plus_cos
 from hardysplit.corpus import blend_pair
 from hardysplit.errors import BoundNotMet, NoConvergence, NotInLp, OnRealAxis
-from hardysplit.quadrature import lp_quasinorm_line
+from hardysplit.quadrature import _gauss_jacobi, lp_quasinorm_line
 from hardysplit.rational import LaurentRational
 from hardysplit.serialize import to_json
 from hardysplit.split import (
@@ -264,12 +265,7 @@ def test_split_atom_on_corpus_needs_one_j_quadrature(p, quasinorm_calls):
             assert np.max(np.abs(res.P.eval(z) + res.Q.eval(z) - r)) <= 1e-12 * np.max(np.abs(r))
 
 
-@pytest.mark.parametrize("p", [
-    pytest.param(q, marks=pytest.mark.xfail(
-        raises=NoConvergence, strict=True,
-        reason="at p = 0.97 the graded cells at the m = 6 roots stop converging "
-               "at tol 1e-4 for every phi (quadrature engine limit)"))
-    if q == 0.97 else q for q in CORPUS_P])
+@pytest.mark.parametrize("p", CORPUS_P)
 def test_blend_pair_on_corpus_needs_one_j_quadrature(p, quasinorm_calls):
     R1, R2 = blend_pair()
     blend = real_pole_blend(R1, R2, p)
@@ -282,6 +278,92 @@ def test_blend_pair_on_corpus_needs_one_j_quadrature(p, quasinorm_calls):
     bm, e = beta(z) ** blend.m, np.exp(1j * blend.phi)
     want = (-e * R1.eval(z) + bm * R2.eval(z)) / (bm - e)
     assert np.max(np.abs(blend.eval(z) - want) / np.abs(want)) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _lorentzian_pipeline(p):
+    """The CLI's 4-stage decompose of the corpus lorentzian at p."""
+    return decompose(corpus.get("lorentzian").boundary, p, 0.5)
+
+
+def _circle_zeros(R, count):
+    """Sign changes of the real-valued R(e^{i theta}), bisected to full precision."""
+    theta = np.linspace(-math.pi, math.pi, count + 1)[1:-1]
+    vals = R.eval_theta(theta).real
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    a, b = theta[i], theta[i + 1]
+    fa = R.eval_theta(a).real
+    for _ in range(60):
+        c = 0.5 * (a + b)
+        fc = R.eval_theta(c).real
+        left = np.sign(fc) == np.sign(fa)
+        a, fa, b = np.where(left, c, a), np.where(left, fc, fa), np.where(left, b, c)
+    return 0.5 * (a + b)
+
+
+_cached_gauss_jacobi = functools.lru_cache(maxsize=None)(_gauss_jacobi)
+
+
+def _reference_j(R, p, phi, halves):
+    """J(phi) by fixed Gauss-Jacobi panels, independent of integrate().
+
+    The panels run between the roots of beta^m = e^{i phi}, the simple zeros
+    of R on the circle and theta = +-pi, each end weighted by its exact
+    exponent: -p, p (the cusp of |R|^p) and k p - 2.  One configuration puts
+    a two-sided 30-node rule on each panel, the other (halves) two one-sided
+    40-node rules on its halves.
+    """
+    m, k = R.n + 1, R.zero_order
+    weighted, e = _stable_weighted(R, p), np.exp(1j * phi)
+    ends = {-math.pi: k * p - 2.0, math.pi: k * p - 2.0}
+    ends.update({t: -p for t in _root_thetas(m, phi)})
+    ends.update({t: p for t in _circle_zeros(R, 40 * m)})
+
+    def panel(u, v, eu, ev, n):
+        x, w = _cached_gauss_jacobi(n, ev, eu)
+        h = 0.5 * (v - u)
+        theta = np.where(x <= 0.0, u + h * (1.0 + x), v - h * (1.0 - x))
+        f = np.abs(weighted(theta) / (np.exp(1j * m * theta) - e)) ** p
+        return h * np.sum(w * f / ((1.0 - x) ** ev * (1.0 + x) ** eu))
+
+    pts = sorted(ends)
+    total = 0.0
+    for u, v in zip(pts[:-1], pts[1:]):
+        if halves:
+            mid = 0.5 * (u + v)
+            total += panel(u, mid, ends[u], 0.0, 40) + panel(mid, v, 0.0, ends[v], 40)
+        else:
+            total += panel(u, v, ends[u], ends[v], 30)
+    return total
+
+
+NEAR_ONE = (0.93, 0.95, 0.97)
+
+
+@pytest.mark.parametrize("p", NEAR_ONE)
+def test_decompose_near_p_one_splits_every_atom_on_the_structural_phi(p):
+    # The graded quadrature raised here for every phi at p = 0.95 and 0.97,
+    # and at p = 0.93 fell back to the phi grid on the last atom.
+    dec = _lorentzian_pipeline(p)
+    assert [s.phi_rule for s in dec.splits] == ["structural"] * 4
+    for s in dec.splits:
+        assert s.bound_ratio <= 2.0 * math.pi / (1.0 - p)
+
+
+@pytest.mark.parametrize("p", NEAR_ONE)
+def test_pipeline_j_matches_gauss_jacobi_reference(p):
+    # The graded quadrature returned these J about 2-15% low with error
+    # estimates near 1e-6: 0.21610, 0.33035 and 0.11352 for the values below.
+    pinned = {(0.93, 2): 0.222681, (0.95, 1): 0.336845, (0.97, 2): 0.132973}
+    for stage, s in enumerate(_lorentzian_pipeline(p).splits):
+        ref = _reference_j(s.R, p, s.phi, False)
+        assert _reference_j(s.R, p, s.phi, True) == pytest.approx(ref, rel=1e-9)
+        phi, j, rule = split._phi_scan(_stable_weighted(s.R, p), s.m, p, math.inf, 16, 1e-8)
+        assert (phi, rule) == (s.phi, "structural")
+        assert j == pytest.approx(ref, rel=1e-8), stage
+        assert s.j_value == pytest.approx(ref, rel=1e-5), stage
+        if (p, stage) in pinned:
+            assert round(ref, 6) == pinned[(p, stage)]
 
 
 def _failing_quasinorm(monkeypatch, bad):
