@@ -238,17 +238,17 @@ def _stable_weighted(R: LaurentRational, p: float) -> Declared:
     A decaying atom vanishes at w = -1 to the order k it derives, where the
     weight blows up; R.eval_theta takes that zero as (2 cos(theta/2))^k
     e^{i k theta/2}, so nothing cancels at any degree.  The result declares
-    its order k - 2/p at theta = +-pi when k p > 1, where |.|^p is integrable.
+    its order k - 2/p at theta = +-pi for every nonzero R; where k p <= 1,
+    |.|^p is not integrable there and its quasinorm raises
+    NonIntegrableSingularity.
     """
 
     def weighted(theta):
         theta = np.atleast_1d(theta)
         return R.eval_theta(theta) / one_plus_cos(theta) ** (1.0 / p)
 
-    k = R.zero_order
-    orders = () if R.is_zero or k * p <= 1.0 else \
-        ((-math.pi, k - 2.0 / p), (math.pi, k - 2.0 / p))
-    return Declared(weighted, orders)
+    order = R.zero_order - 2.0 / p
+    return Declared(weighted, () if R.is_zero else ((-math.pi, order), (math.pi, order)))
 
 
 @dataclass(frozen=True)

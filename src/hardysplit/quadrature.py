@@ -4,18 +4,23 @@ Line integrals go through one routine, line_integral, which pushes them
 onto [-pi, pi] through x = tan(theta/2), dx = dtheta / (1 + cos theta), so
 the point at infinity becomes the ordinary endpoint theta = +-pi.
 
+One panel refiner, _refine, does all adaptive work: globally adaptive
+bisection (QUADPACK's scheme) over a list of jobs, run a sweep at a time,
+with one integrand call per sweep for all jobs.  A panel is integrated by
+the rule pair for the exponents at its ends: K15/G7 when both are 0, else a
+16/24-node Gauss-Jacobi pair for the weight |s|^a (Golub-Welsch, built on
+first use and cached), with the offset s taken from the reference node.
+
 integrate() treats a singular point in one of two ways.
 
 Declared exponents: the caller states f ~ |theta - t|^a at each point t
 (a > -1), as the split does for J(phi) (-p at the denominator roots) and
 for an atom with zero order k (k p - 2 at theta = +-pi), through Declared
 circle functions.  The points cut the interval into panels (none starting
-wider than 1/16 of it), and a panel touching one is integrated by a
-Gauss-Jacobi rule for the weight |s|^a at that end (Golub-Welsch, built on
-first use and cached), with the offset s taken from the reference node.  A
-16/24-node rule pair estimates the error; a panel that misses its share of
-the tolerance is bisected, its regular child going to the sweep refiner
-below.  Nothing is graded or extrapolated.
+wider than 1/16 of it), each a _refine job of its own; a panel touching a
+point carries its exponent there, and a bisection leaves it on the child
+at the point.  Nothing is graded or extrapolated.  An integral with no
+singular point takes the same path with no exponents.
 
 Graded sides: every undeclared singular point, and the interval endpoints
 when asked, gets a geometric mesh (ratio 1/2); the remaining mass past the
@@ -25,16 +30,14 @@ samples take this path.  Integrand calls carry a fixed cost, so the sides
 of one integral advance as a level wavefront: one call holds the first
 _GRADE_MIN_LEVELS levels of every side (none can stop sooner), each later
 call the next _GRADE_LEVELS_PER_CALL levels of every open side; cells past
-a side's stop are discarded unfed.
+a side's stop are discarded unfed.  The cells of a batch that fail their
+side's acceptance test go to _refine together.
 
-The cells of a batch that fail their side's acceptance test, smooth
-segments and regular children go to _refine: globally adaptive GK15
-(QUADPACK's scheme) run a sweep at a time, one integrand call per sweep for
-all its intervals.  Results do not depend on the batching, only the call
-count does: each side keeps its own cells, tail extrapolation and stopping
-rule, and its acceptance test charges a rejected cell its refinement
-target, not the error refinement reaches; refined panels are summed per
-cell; and sides and panels reach the accumulator in a fixed order.
+Results do not depend on the batching, only the call count does: each side
+keeps its own cells, tail extrapolation and stopping rule, and its
+acceptance test charges a rejected cell its refinement target, not the
+error refinement reaches; each job keeps its own panels; and sides and
+jobs reach the accumulator in a fixed order.
 """
 
 from __future__ import annotations
@@ -109,8 +112,7 @@ _GRADE_MAX_LEVELS = 48
 # its difference from the smaller the error estimate
 _JACOBI_ORDERS = (16, 24)
 _DECLARED_LEVELS = 20
-_DECLARED_BUDGET = 1024
-_DECLARED_MIN_PANELS = 16
+_MIN_PANELS = 16
 
 
 @dataclass(frozen=True)
@@ -161,62 +163,95 @@ def _tree_sum(terms):
     return items[0]
 
 
-def _panels_eval(f, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized K15/G7 on a batch of panels; returns (k15, |k15-g7|)."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    nodes = c[:, None] + h[:, None] * _KRONROD_NODES[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+def _gk15(vals: np.ndarray, h: np.ndarray):
+    """(K15, |K15 - G7|) of panels with half-widths h from their node values, in order."""
+    vals = vals.reshape(h.size, _KRONROD_NODES.size)
     k15 = h * (vals @ _KRONROD_WEIGHTS)
-    g7 = h * (vals[:, 1::2] @ _GAUSS_WEIGHTS)
-    return k15, np.abs(k15 - g7)
+    return k15, np.abs(k15 - h * (vals[:, 1::2] @ _GAUSS_WEIGHTS))
+
+
+def _panels_eval(f, lo: np.ndarray, hi: np.ndarray, ea=None, eb=None):
+    """Each panel's (value, |error estimate|), all nodes in one call to f.
+
+    ea and eb hold the exponents at the panels' ends lo and hi (default 0).
+    A panel with both 0 gets K15/G7, any other the _jacobi_pair for the
+    weight |s|^ea at lo and |s|^eb at hi; each node's offset from its end
+    comes from the reference node, so the weight divided out matches it.
+    """
+    jac = None if ea is None else (ea != 0.0) | (eb != 0.0)
+    mixed = jac is not None and jac.any()
+    reg = ~jac if mixed else slice(None)
+    c, h = 0.5 * (lo[reg] + hi[reg]), 0.5 * (hi[reg] - lo[reg])
+    nodes = (c[:, None] + h[:, None] * _KRONROD_NODES[None, :]).ravel()
+    if not mixed:
+        return _gk15(np.asarray(f(nodes), dtype=complex), h)
+    u, v = lo[jac], hi[jac]
+    # each panel's rule pair, looked up once per distinct end exponents
+    keys = list(zip(eb[jac].tolist(), ea[jac].tolist()))
+    table = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    offset, left, W = (np.stack(r) for r in zip(*(_jacobi_pair(*key) for key in table)))
+    pick = np.array([table[key] for key in keys], dtype=int)
+    offset, left, W = offset[pick], left[pick], W[pick]
+    hj = 0.5 * (v - u)[:, None]
+    jac_nodes = np.where(left, u[:, None], v[:, None]) + np.where(left, hj, -hj) * offset
+    vals = np.asarray(f(np.concatenate([nodes, jac_nodes.ravel()])), dtype=complex)
+    value, err = np.empty(lo.size, dtype=complex), np.empty(lo.size)
+    value[reg], err[reg] = _gk15(vals[:nodes.size], h)
+    est = hj * np.einsum("pn,pnc->pc", vals[nodes.size:].reshape(offset.shape), W)
+    value[jac], err[jac] = est[:, -1], np.abs(est[:, -1] - est[:, 0])
+    return value, err
 
 
 def _refine(f, jobs) -> list[tuple[complex, float, int]]:
-    """Globally adaptive GK15 on smooth intervals, run a sweep at a time.
+    """Globally adaptive panels, a sweep at a time: the one adaptive loop.
 
-    A job is (lo, hi, k15, err, tol_abs, panel_budget): an interval with its
-    GK15 result.  Each sweep, every open job pops its largest-error panels
-    until their errors cover its excess over tol_abs, and the children of all
-    jobs go to the integrand in one call.  A job closes within tol_abs, at
-    panel_budget panels, or when no panel can be bisected.  Returns (value,
-    err, panels) per job, each summed in its own heap order.
+    A job is (lo, hi, value, err, tol_abs, panel_budget, ea, eb): one panel
+    with its end exponents and its rule pair's result (see _panels_eval).
+    Each sweep, every open job bisects its largest-error panels until their
+    errors cover its excess over tol_abs; a child keeps its parent's
+    exponent at the shared end and gets 0 at the midpoint, and the children
+    of all jobs go to the integrand in one call.  A job closes within
+    tol_abs, at panel_budget panels, or when no panel can be bisected; a
+    Gauss-Jacobi panel (a nonzero end exponent) is not bisected past
+    _DECLARED_LEVELS, as deeper down the rounding of theta swamps its node
+    offsets.  Returns (value, err, panels) per job, each summed in its own
+    heap order, so a job's result does not depend on the jobs beside it.
     """
-    # per job: [heap of (-err, counter, a, b, k15), unsplittable panels,
-    #           open error, panels used, tol_abs, panel_budget]
-    states = [[[(-err, 0, a, b, k15)], [], err, 1, tol, budget]
-              for a, b, k15, err, tol, budget in jobs]
+    # per job: [heap of (-err, counter, a, b, ea, eb, value, depth),
+    #           unsplittable panels, open error, panels used, tol_abs, panel_budget]
+    states = [[[(-err, 0, a, b, ea, eb, val, 0)], [], err, 1, tol, budget]
+              for a, b, val, err, tol, budget, ea, eb in jobs]
     active = [st for st in states if st[2] > st[4]]
     while active:
-        los, his, popped = [], [], []
+        kids, popped = [], []
         for st in active:
             heap, chosen, covered = st[0], [], 0.0
             while heap and st[2] - covered > st[4] and st[3] < st[5]:
                 panel = heapq.heappop(heap)
-                a, b = panel[2], panel[3]
+                neg_err, _, a, b, ea, eb, _, depth = panel
                 m = 0.5 * (a + b)
-                if -panel[0] <= 1e-300 or m <= a or m >= b:
+                if (-neg_err <= 1e-300 or m <= a or m >= b
+                        or (ea or eb) and depth >= _DECLARED_LEVELS):
                     st[1].append(panel)
-                    st[2] += panel[0]
+                    st[2] += neg_err
                     continue
-                chosen.append((panel[0], st[3]))  # children's counters: used, used + 1
-                covered -= panel[0]
+                chosen.append((neg_err, st[3], depth + 1))  # children's counters: used, used + 1
+                covered -= neg_err
                 st[3] += 2
-                los += (a, m)
-                his += (m, b)
+                kids += [(a, m, ea, 0.0), (m, b, 0.0, eb)]
             popped.append(chosen)
-        if not los:
+        if not kids:
             break
-        k15, err = _panels_eval(f, np.array(los), np.array(his))
-        kids = zip(err.tolist(), los, his, k15.tolist())
+        value, err = _panels_eval(f, *(np.array(x) for x in zip(*kids)))
+        out = zip(err.tolist(), kids, value.tolist())
         for st, chosen in zip(active, popped):
-            for (neg_err, n), (e0, *left), (e1, *right) in zip(chosen, kids, kids):
+            for (neg_err, n, depth), (e0, left, v0), (e1, right, v1) in zip(chosen, out, out):
                 st[2] += e0 + e1 + neg_err
-                heapq.heappush(st[0], (-e0, n, *left))
-                heapq.heappush(st[0], (-e1, n + 1, *right))
+                heapq.heappush(st[0], (-e0, n, *left, v0, depth))
+                heapq.heappush(st[0], (-e1, n + 1, *right, v1, depth))
         active = [st for st, chosen in zip(active, popped)
                   if chosen and st[2] > st[4] and st[3] < st[5]]
-    return [(_tree_sum(panel[4] for panel in st[1] + st[0]),
+    return [(_tree_sum(panel[6] for panel in st[1] + st[0]),
              sum(-panel[0] for panel in st[1] + st[0]), len(st[1]) + len(st[0]))
             for st in states]
 
@@ -316,11 +351,12 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
     """Core engine: integral of vectorized f over [lo, hi].
 
     singular_points are interior abscissae where f may blow up integrably;
-    grade_endpoints additionally treats lo and hi as potential singular points.
-    declared holds (point, exponent) pairs, f ~ |theta - point|^exponent with
-    exponent > -1 (exponents given twice at one point add); when given, its
-    points are the only singular ones (each singular point must be among
-    them) and they get Gauss-Jacobi panels.
+    grade_endpoints additionally treats lo and hi as potential singular
+    points; each such point is graded.  declared holds (point, exponent)
+    pairs, f ~ |theta - point|^exponent with exponent > -1 (exponents given
+    twice at one point add); when given, its points are the only singular
+    ones (each singular point must be among them).  An integral with no
+    graded point runs on panels (_panel_integral), declared or not.
     Returns (value, est_error, panels); raises NoConvergence when the error
     estimate stays above 10x the requested tolerance.
     """
@@ -328,24 +364,21 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
     for t, a in declared:
         if lo <= t <= hi:
             exps[float(t)] = exps.get(float(t), 0.0) + float(a)
-    if exps:
-        undeclared = [s for s in singular_points if lo < s < hi and float(s) not in exps]
-        if grade_endpoints or undeclared:
-            raise ValueError("a declared integral cannot also grade undeclared points")
-        for t, a in exps.items():
-            if a <= -1.0:
-                raise NonIntegrableSingularity(f"exponent {a:.6g} <= -1 at {t!r}")
-        return _declared_integral(f, lo, hi, exps, tol)
-    sings = sorted({float(s) for s in singular_points if lo < s < hi})
+    sings = sorted({float(s) for s in singular_points
+                    if lo < s < hi and float(s) not in exps})
+    if exps and (grade_endpoints or sings):
+        raise ValueError("a declared integral cannot also grade undeclared points")
+    for t, a in exps.items():
+        if a <= -1.0:
+            raise NonIntegrableSingularity(f"exponent {a:.6g} <= -1 at {t!r}")
+    if lo == hi or not (grade_endpoints or sings):
+        return _panel_integral(f, lo, hi, exps, tol)
     merged = []
     for s in sings:
         if not merged or s - merged[-1] > 1e-12 * max(1.0, abs(s)):
             merged.append(s)
-    graded_pts = ([lo, hi] if grade_endpoints else []) + merged
-    graded_pts = sorted(set(graded_pts))
+    graded = {lo, hi, *merged} if grade_endpoints else set(merged)
     edges = sorted({lo, hi, *merged})
-    if len(edges) < 2:
-        return 0.0 + 0.0j, 0.0, 0
     n_seg = len(edges) - 1
 
     # coarse scale pass to turn the relative tolerance into an absolute one
@@ -360,21 +393,16 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
     tol_abs = tol * max(scale, 1e-300)
     seg_tol = tol_abs / n_seg
 
-    # accumulation order: graded sides, and (u, v) for smooth segments
-    plan = []
+    # every segment has a graded end; its sides in accumulation order
+    sides = []
     for u, v in zip(edges[:-1], edges[1:]):
-        u_sing = u in graded_pts
-        v_sing = v in graded_pts
-        if u_sing and v_sing:
+        if u in graded and v in graded:
             m = 0.5 * (u + v)
-            plan += [_GradedSide(u, m, 0.5 * seg_tol), _GradedSide(v, m, 0.5 * seg_tol)]
-        elif u_sing:
-            plan.append(_GradedSide(u, v, seg_tol))
-        elif v_sing:
-            plan.append(_GradedSide(v, u, seg_tol))
+            sides += [_GradedSide(u, m, 0.5 * seg_tol), _GradedSide(v, m, 0.5 * seg_tol)]
+        elif u in graded:
+            sides.append(_GradedSide(u, v, seg_tol))
         else:
-            plan.append((u, v))
-    sides = [item for item in plan if isinstance(item, _GradedSide)]
+            sides.append(_GradedSide(v, u, seg_tol))
 
     # no side can stop before _GRADE_MIN_LEVELS; then a few levels a call
     levels = _GRADE_MIN_LEVELS
@@ -386,7 +414,8 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
         k15, err = _panels_eval(f, *np.array([item[1:] for item in batch]).T)
         cells = list(zip(k15.tolist(), err.tolist()))
         rejected = [i for i, (side, _, _) in enumerate(batch) if not side.accepts(*cells[i])]
-        jobs = [(*batch[i][1:], *cells[i], batch[i][0].tol_abs / 64.0, 1024) for i in rejected]
+        jobs = [(*batch[i][1:], *cells[i], batch[i][0].tol_abs / 64.0, 1024, 0.0, 0.0)
+                for i in rejected]
         for i, cell in zip(rejected, _refine(f, jobs)):
             cells[i] = cell
         for (side, _, _), cell in zip(batch, cells):
@@ -394,17 +423,9 @@ def integrate(f, lo: float, hi: float, singular_points=(), tol: float = DEFAULT_
                 side.feed(*cell)
         levels = _GRADE_LEVELS_PER_CALL
 
-    smooth = [item for item in plan if not isinstance(item, _GradedSide)]
-    if smooth:
-        k15, err = _panels_eval(f, *np.array(smooth).T)
-        refined = iter(_refine(f, [(u, v, k, e, seg_tol, 4096) for (u, v), k, e
-                                   in zip(smooth, k15.tolist(), err.tolist())]))
     acc = _Accumulator()
-    for item in plan:
-        if isinstance(item, _GradedSide):
-            item.add_to(acc)
-        else:
-            acc.add(*next(refined))
+    for side in sides:
+        side.add_to(acc)
     return _checked(acc, tol, scale)
 
 
@@ -476,91 +497,39 @@ def _jacobi_pair(a: float, b: float):
     return out
 
 
-def _declared_integral(f, lo: float, hi: float, exps: dict, tol: float
-                       ) -> tuple[complex, float, int]:
-    """integrate() for declared exponents exps = {point: exponent}, not empty.
+def _panel_integral(f, lo: float, hi: float, exps: dict, tol: float
+                    ) -> tuple[complex, float, int]:
+    """integrate() on panels, with declared exponents exps = {point: exponent} or none.
 
-    The declared points cut [lo, hi] into segments, each cut evenly into
-    panels no wider than 1/_DECLARED_MIN_PANELS of the interval: a rule pair
-    resolves a few oscillations, and bisecting down from one wide panel
-    would cost an integrand call per halving.  A panel touching a point is
-    integrated by the Gauss-Jacobi pair for its end exponents; each node's
-    offset from the panel end comes from the reference node, so the weight
-    divided out matches the node exactly.  A round sends all such panels to
-    f in one call, with the GK15 nodes of the last round's regular children;
-    the first round's absolute values set the scale.  A panel's share of the
-    tolerance is the mean of its shares of the width and of the scale (mass
-    crowds toward an exponent near -1).  A panel whose two-rule difference
-    exceeds its share is bisected: the child at a declared point stays a
-    Gauss-Jacobi panel, the other goes to _refine.  Past _DECLARED_LEVELS
-    bisections of a panel, or _DECLARED_BUDGET panels in all, nothing is
-    bisected and the error check decides: deeper down, the rounding of theta
-    swamps the node offsets.
+    The points cut [lo, hi] into segments, each cut evenly into panels no
+    wider than 1/_MIN_PANELS of the interval: a rule pair resolves a few
+    oscillations, and bisecting down from one wide panel would cost an
+    integrand call per halving.  One _panels_eval call gives every panel's
+    result, whose absolute values set the scale; then each panel is a
+    _refine job of its own.  Its tolerance is the mean of its shares of the
+    width and of the scale (mass crowds toward an exponent near -1), its
+    budget its share of 8 * 1024 panels (64 to 1024).
     """
     points = np.array(sorted({lo, hi, *exps}))
     if points.size < 2:
         return 0.0 + 0.0j, 0.0, 0
-    width = hi - lo
+    width = points[-1] - points[0]
     # cut segment i evenly into k[i] panels
-    k = np.ceil(_DECLARED_MIN_PANELS * np.diff(points) / width).astype(int)
+    k = np.ceil(_MIN_PANELS * np.diff(points) / width).astype(int)
     seg = np.repeat(np.arange(k.size), k)
     j = np.arange(seg.size) - np.repeat(np.cumsum(k) - k, k)
-    edges = np.append(points[seg] + (points[seg + 1] - points[seg]) * (j / k[seg]), hi)
-    declared = np.array([t in exps for t in edges.tolist()])
+    edges = np.append(points[seg] + (points[seg + 1] - points[seg]) * (j / k[seg]), points[-1])
     ends = np.array([exps.get(t, 0.0) for t in edges.tolist()])
-    # panels [u, v] with exponents eu, ev at their ends, declared or not (du, dv)
     u, v, eu, ev = edges[:-1], edges[1:], ends[:-1], ends[1:]
-    du, dv = declared[:-1], declared[1:]
-    level = np.zeros(u.size, dtype=int)
-    budget = max(_DECLARED_BUDGET, 2 * u.size)
-    used, scale = 0, None
-    done, jobs = [], []  # accepted (u, value, err) arrays; _refine jobs
-    while u.size:
-        jac = du | dv
-        u_r, v_r = u[~jac], v[~jac]
-        u, v, eu, ev, du, dv, level = (x[jac] for x in (u, v, eu, ev, du, dv, level))
-        # each panel's rule pair, looked up once per distinct end exponents
-        keys = list(zip(ev.tolist(), eu.tolist()))
-        table = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        offset, left, W = (np.stack(r) for r in zip(*(_jacobi_pair(*key) for key in table)))
-        pick = np.array([table[key] for key in keys], dtype=int)
-        offset, left, W = offset[pick], left[pick], W[pick]
-        h = 0.5 * (v - u)[:, None]
-        c_r, h_r = 0.5 * (u_r + v_r), 0.5 * (v_r - u_r)
-        vals = np.asarray(f(np.concatenate([
-            (np.where(left, u[:, None], v[:, None]) + np.where(left, h, -h) * offset).ravel(),
-            (c_r[:, None] + h_r[:, None] * _KRONROD_NODES[None, :]).ravel()])), dtype=complex)
-
-        est = h * np.einsum("pn,pnc->pc", vals[:offset.size].reshape(offset.shape), W)
-        rv = vals[offset.size:].reshape(c_r.size, _KRONROD_NODES.size)
-        k15 = h_r * (rv @ _KRONROD_WEIGHTS)
-        k_err = np.abs(k15 - h_r * (rv[:, 1::2] @ _GAUSS_WEIGHTS))
-        if scale is None:
-            scale = float(np.abs(est[:, -1]).sum() + np.abs(k15).sum())
-        share = 0.5 * tol * (scale * (v_r - u_r) / width + np.abs(k15))
-        jobs += zip(*(x.tolist() for x in (u_r, v_r, k15, k_err, share)))
-
-        value, err = est[:, -1], np.abs(est[:, -1] - est[:, 0])
-        mid = 0.5 * (u + v)
-        share = 0.5 * tol * (scale * (v - u) / width + np.abs(value))
-        split = (err > share) & (level < _DECLARED_LEVELS) & (u < mid) & (mid < v)
-        used += u.size
-        split &= np.cumsum(split) <= (budget - used) // 2
-        done.append((u[~split], value[~split], err[~split]))
-        zero, no = np.zeros(int(split.sum())), np.zeros(int(split.sum()), dtype=bool)
-        u, v = np.concatenate([u[split], mid[split]]), np.concatenate([mid[split], v[split]])
-        eu, ev = np.concatenate([eu[split], zero]), np.concatenate([zero, ev[split]])
-        du, dv = np.concatenate([du[split], no]), np.concatenate([no, dv[split]])
-        level = np.concatenate([level[split], level[split]]) + 1
-
-    terms = [(a, val, e, 1) for part in done for a, val, e in zip(*(x.tolist() for x in part))]
-    # the regular children share 8 * _DECLARED_BUDGET panels, 64 to 1024 each
-    each = min(1024, max(64, 8 * _DECLARED_BUDGET // max(len(jobs), 1)))
-    jobs = [(*job, each) for job in jobs]
-    terms += [(job[0], *res) for job, res in zip(jobs, _refine(f, jobs))]
+    value, err = _panels_eval(f, u, v, eu, ev)
+    scale = float(np.abs(value).sum())
+    share = 0.5 * tol * (scale * (v - u) / width + np.abs(value))
+    budget = min(1024, max(64, 8 * 1024 // u.size))
+    jobs = zip(*(x.tolist() for x in (u, v, value, err, share)), [budget] * u.size,
+               eu.tolist(), ev.tolist())
     acc = _Accumulator()
-    for _, value, err, n in sorted(terms, key=lambda term: term[0]):
-        acc.add(value, err, n)
+    for term in _refine(f, jobs):
+        acc.add(*term)
     return _checked(acc, tol, scale)
 
 
@@ -599,8 +568,8 @@ class Declared:
     """A circle function g with declared orders: |g| ~ c |theta - t|^order at each (t, order).
 
     lp_quasinorm_circle integrates |g|^p with exponent p * order at each t,
-    and takes every point that orders does not name, theta = +-pi included,
-    as regular.  With no orders, g is integrated like any callable.
+    and takes every other point, theta = +-pi included, as regular.  Only
+    the zero atom has no orders; with none, g is integrated like any callable.
     """
 
     g: object

@@ -148,10 +148,8 @@ def _phi_scan(weighted, m: int, p: float, bound: float, phi_candidates: int,
             w = np.exp(1j * theta)
             return weighted(theta) / (w ** m - e)
 
-        # a simple pole at each root and weighted's order at theta = +-pi,
-        # declared only where weighted's is (k p > 1)
-        poles = tuple((t, -1.0) for t in roots)
-        g = Declared(integrand, weighted.orders and weighted.orders + poles)
+        # a simple pole at each root and weighted's order at theta = +-pi
+        g = Declared(integrand, weighted.orders + tuple((t, -1.0) for t in roots))
         try:
             return lp_quasinorm_circle(g, p, tol=jtol, singular_thetas=roots).value
         except NoConvergence:
@@ -382,6 +380,9 @@ def real_pole_blend(R1: LaurentRational, R2: LaurentRational, p: float,
 
     if diff.is_zero:
         return SplitPiece(((1.0, R1, 0),), 0, 0.0)
+    cert = certify_lp(diff.pole_certificate(), p)
+    if not cert["member"]:
+        raise NotInLp("; ".join(cert["reasons"]))
 
     weighted_diff = _stable_weighted(diff, p)
     diff_norm = lp_quasinorm_circle(weighted_diff, p, tol=tol).value

@@ -114,6 +114,15 @@ def test_blend_trivial_pair_is_identity():
     assert np.max(np.abs(blend.eval(x) - 2.5)) == 0.0
 
 
+def test_blend_rejects_difference_outside_lp():
+    # (1 + beta) - (1 + 1/beta) decays like 1/x: not in L^p at p = 0.75, and
+    # the pole certificate says so before any quadrature
+    R1 = LaurentRational.from_dict({0: 1.0, 1: 1.0})
+    R2 = LaurentRational.from_dict({0: 1.0, -1: 1.0})
+    with pytest.raises(NotInLp, match="decay too slow"):
+        real_pole_blend(R1, R2, P_DEFAULT)
+
+
 def test_blend_validates_sides():
     R1, R2 = blend_pair()
     with pytest.raises(ValueError):
